@@ -4,7 +4,6 @@ additional-shift invariance solvers, mean-oscillation (VMO) diagnostics,
 exact SL(2,Q) factorization with metaplectic transport, and
 uncertainty-product divergence sweeps."""
 
-from ._kernels import USING_NUMBA
 from .core import GridError, SampledFunction, TFShift, fourier_transform, inner_product, sample_function, tf_shift
 from .gabor import (
     InvarianceReport,
@@ -28,3 +27,7 @@ from .vmo import Cube, OscillationReport, ScalarField2D, check_inequalities, mea
 from .zak import AliasingError, ZakGrid, check_zak_identities, inverse_zak, zak_extend, zak_transform
 
 __version__ = "0.1.0"
+
+# The kernels have one numpy implementation and no compiled path; the flag
+# stays because run metadata records it.
+USING_NUMBA = False

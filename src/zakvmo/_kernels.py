@@ -1,40 +1,18 @@
-"""Hot inner-loop kernels: numba-jitted fast path with a pure-numpy fallback.
+"""Hot inner-loop kernels, vectorized in numpy.
 
-The numba path is used whenever numba imports successfully, unless the
-environment variable ``ZAKVMO_NO_NUMBA`` is set to ``1``/``true``/``yes``,
-in which case the numpy implementations are selected.  Both paths compute
-identical values; ``benchmarks/bench_kernels.py`` compares their speed.
+``osc_scan`` computes the mean oscillation of every strided cube of one
+size in a window; ``gagliardo_pairs`` sums the banded Gagliardo pair
+differences of a sampled function.  ``tests/test_kernels.py`` checks both
+against plain-loop reference implementations.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FLAG = os.environ.get("ZAKVMO_NO_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in ("1", "true", "yes")
 
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled via ZAKVMO_NO_NUMBA")
-    from numba import njit, prange
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def _osc_scan_py(window, means, sx, sy, stride):
+def osc_scan(window, means, sx, sy, stride):
+    """Mean of |window - means| over every sx-by-sy cube at the given stride."""
     na = window.shape[0] - sx + 1
     nb = window.shape[1] - sy + 1
     out = np.zeros((len(range(0, na, stride)), len(range(0, nb, stride))))
@@ -46,68 +24,11 @@ def _osc_scan_py(window, means, sx, sy, stride):
     return out
 
 
-@njit(cache=True, parallel=True, fastmath=True)
-def _osc_scan_nb(window, means, sx, sy, stride):  # pragma: no cover - jitted
-    na = window.shape[0] - sx + 1
-    nb = window.shape[1] - sy + 1
-    oa = (na + stride - 1) // stride
-    ob = (nb + stride - 1) // stride
-    wr = np.ascontiguousarray(window.real)
-    wi = np.ascontiguousarray(window.imag)
-    out = np.empty((oa, ob))
-    for ia in prange(oa):
-        i = ia * stride
-        for jb in range(ob):
-            j = jb * stride
-            mr = means[i, j].real
-            mi = means[i, j].imag
-            acc = 0.0
-            for a in range(sx):
-                for b in range(sy):
-                    dr = wr[i + a, j + b] - mr
-                    di = wi[i + a, j + b] - mi
-                    acc += np.sqrt(dr * dr + di * di)
-            out[ia, jb] = acc / (sx * sy)
-    return out
-
-
-def _gagliardo_pairs_py(vals, h, band, expo):
+def gagliardo_pairs(vals, h, band, expo):
+    """2 h^2 sum over d >= band of sum_i |vals[i+d] - vals[i]|^2 / (d h)^expo."""
     n = vals.shape[0]
     acc = 0.0
     for d in range(band, n):
         dv = np.abs(vals[d:] - vals[:-d])
         acc += float(np.sum(dv * dv)) / (d * h) ** expo
     return 2.0 * acc * h * h
-
-
-@njit(cache=True, parallel=True, fastmath=True)
-def _gagliardo_pairs_nb(vals, h, band, expo):  # pragma: no cover - jitted
-    n = vals.shape[0]
-    vr = np.ascontiguousarray(vals.real)
-    vi = np.ascontiguousarray(vals.imag)
-    acc = 0.0
-    for d in prange(band, n):
-        w = (d * h) ** expo
-        s = 0.0
-        for i in range(n - d):
-            dr = vr[i + d] - vr[i]
-            di = vi[i + d] - vi[i]
-            s += dr * dr + di * di
-        acc += s / w
-    return 2.0 * acc * h * h
-
-
-if USING_NUMBA:
-    osc_scan = _osc_scan_nb
-    gagliardo_pairs = _gagliardo_pairs_nb
-else:
-    osc_scan = _osc_scan_py
-    gagliardo_pairs = _gagliardo_pairs_py
-
-
-def warm_up():
-    """Trigger JIT compilation on tiny inputs (no-op on the numpy path)."""
-    w = np.ones((4, 4), dtype=np.complex128)
-    m = np.ones((2, 2), dtype=np.complex128)
-    osc_scan(w, m, 3, 3, 1)
-    gagliardo_pairs(np.ones(8, dtype=np.complex128), 0.5, 1, 2.0)

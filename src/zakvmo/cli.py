@@ -7,13 +7,14 @@ rational parameters are written as "p/q" strings so exactness survives
 serialization; identical config + seed produce byte-identical outputs.
 
 Exit codes: 0 ok, 1 property failure, 2 config error, 3 numerical error.
+Every config problem (an unreadable file, a bad value or a combination of
+values the pipelines reject) exits 2 with a message on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
@@ -23,9 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import gabor, metaplectic, uncertainty, vmo, zak
-from .core import GridError, sample_function
+from .core import embed, sample_function, tf_shift
 from .symplectic import (
-    GeneratorStep,
     RationalMatrix2,
     format_fraction,
     lattice_reduce,
@@ -93,10 +93,7 @@ def build_generator(cfg: dict):
     if recipe == "box":
         a, b = cfg.get("box", [0.0, 1.0])
         recipe = ("box", float(a), float(b))
-    try:
-        return sample_function(recipe, tuple(cfg["support"]), int(cfg["S"]))
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    return sample_function(recipe, tuple(cfg["support"]), int(cfg["S"]))
 
 
 def build_lattice(cfg: dict):
@@ -104,10 +101,7 @@ def build_lattice(cfg: dict):
     separable form first, mirroring the rational-lattice setup."""
     if "matrix" in cfg and cfg["matrix"]:
         A = RationalMatrix2(*(parse_rational(t) for t in cfg["matrix"]))
-        try:
-            red = lattice_reduce(A)
-        except ZeroDivisionError as exc:
-            raise ConfigError(str(exc))
+        red = lattice_reduce(A)
         return gabor.SeparableLattice(red.P, red.Q), red
     lat = cfg.get("lattice", {})
     try:
@@ -116,14 +110,14 @@ def build_lattice(cfg: dict):
         raise ConfigError(f"bad lattice spec {lat!r}: {exc}")
 
 
-def atomic_write(path: str, writer) -> None:
-    """Write via temp file + rename; writer(fileobj) produces the content."""
+def atomic_write(path: str, text: str) -> None:
+    """Write text via temp file + rename."""
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            writer(fh)
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -132,10 +126,24 @@ def atomic_write(path: str, writer) -> None:
 
 
 def write_json(path: str, obj: dict) -> None:
-    atomic_write(path, lambda fh: fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n"))
+    atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _out(cfg, args, name):
+def write_csv(path: str, config_hash: str, header, columns) -> None:
+    """Write equal-length columns under a config line and a header row;
+    every cell is repr(float), so values round-trip exactly."""
+    cols = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
+    lines = [f"# config {config_hash}", ",".join(header)]
+    lines += [",".join(map(repr, row)) for row in zip(*cols)]
+    atomic_write(path, "\n".join(lines) + "\n")
+
+
+def _node_columns(n_rows: int, nw: int, x_den: int):
+    """x = i / x_den and omega = j / nw for the (i, j) nodes in C order."""
+    return np.repeat(np.arange(n_rows) / x_den, nw), np.tile(np.arange(nw) / nw, n_rows)
+
+
+def _out(args, name):
     return os.path.join(args.out, name)
 
 
@@ -144,10 +152,13 @@ def cmd_zak(cfg: dict, args) -> int:
     nx, nw = int(cfg["nx"]), int(cfg["nw"])
     h = config_hash(cfg)
     Z = zak.zak_transform(g, nx, nw)
-    atomic_write(_out(cfg, args, "zak.csv"), lambda fh: zak.zak_to_csv(Z, fh, h))
+    write_csv(
+        _out(args, "zak.csv"), h, ("x", "omega", "re", "im"),
+        (*_node_columns(nx, nw, nx), Z.values.real, Z.values.imag),
+    )
     rep = zak.check_zak_identities(g, nx, nw)
     write_json(
-        _out(cfg, args, "zak_identities.json"),
+        _out(args, "zak_identities.json"),
         {"schema": 1, "config": h, "deviations": rep.as_dict(),
          "unitarity_gap": abs(zak.zak_l2_norm(Z) - g.norm())},
     )
@@ -167,8 +178,12 @@ def cmd_riesz(cfg: dict, args) -> int:
             "B": red.B.to_csv(), "P": red.P, "Q": red.Q,
             "column_flipped": red.column_flipped,
         }
-    write_json(_out(cfg, args, "riesz.json"), body)
-    atomic_write(_out(cfg, args, "riesz_profile.csv"), lambda fh: rep.profile_to_csv(fh, h))
+    write_json(_out(args, "riesz.json"), body)
+    nxf, nw = rep.sigma_min.shape
+    write_csv(
+        _out(args, "riesz_profile.csv"), h, ("x", "omega", "sigma_min", "sigma_max"),
+        (*_node_columns(nxf, nw, nxf * rep.P), rep.sigma_min, rep.sigma_max),
+    )
     print(f"riesz: A={rep.a_est:.6g} B={rep.b_est:.6g}")
     return EXIT_OK
 
@@ -182,7 +197,7 @@ def cmd_invariance(cfg: dict, args) -> int:
     )
     body = rep.as_dict()
     body["config"] = config_hash(cfg)
-    write_json(_out(cfg, args, "invariance.json"), body)
+    write_json(_out(args, "invariance.json"), body)
     print(f"invariance: residual={rep.max_residual:.3g} verdict={rep.verdict}")
     return EXIT_OK
 
@@ -195,10 +210,10 @@ def cmd_vmo(cfg: dict, args) -> int:
         F, tuple(cfg["window"]), list(cfg["eps_list"]), float(cfg["vmo_floor"])
     )
     h = config_hash(cfg)
-    atomic_write(_out(cfg, args, "vmo_profile.csv"), lambda fh: rep.to_csv(fh, h))
+    write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (rep.eps_list, rep.s_values))
     body = rep.as_dict()
     body["config"] = h
-    write_json(_out(cfg, args, "vmo_witness.json"), body)
+    write_json(_out(args, "vmo_witness.json"), body)
     print(f"vmo: verdict={rep.verdict} tail S={rep.s_values[-1]:.4g}")
     return EXIT_OK
 
@@ -229,25 +244,25 @@ def cmd_analyze(cfg: dict, args) -> int:
             "shift_image": [format_fraction(u), format_fraction(eta)],
             "steps": steps,
         }
-        write_json(_out(cfg, args, "summary.json"), log)  # reduction log first
+        write_json(_out(args, "summary.json"), log)  # reduction log first
     nx, nw = int(cfg["nx"]), int(cfg["nw"])
     if g.samples_per_unit % nx:
         raise ConfigError(f"nx = {nx} does not divide S = {g.samples_per_unit}")
     riesz_rep = gabor.riesz_bounds(g, lat, nx, nw)
     body = riesz_rep.as_dict()
     body["config"] = h
-    write_json(_out(cfg, args, "riesz.json"), body)
+    write_json(_out(args, "riesz.json"), body)
     inv_rep = gabor.invariance_solve(g, lat, u, eta, nx, nw, float(cfg["tol"]))
     inv_body = inv_rep.as_dict()
     inv_body["config"] = h
-    write_json(_out(cfg, args, "invariance.json"), inv_body)
+    write_json(_out(args, "invariance.json"), inv_body)
 
     Z = zak.zak_transform(g, nx, nw)
     F = vmo.field_from_zak(Z)
     prof = vmo.vmo_decay_profile(
         F, tuple(cfg["window"]), list(cfg["eps_list"]), float(cfg["vmo_floor"])
     )
-    atomic_write(_out(cfg, args, "vmo_profile.csv"), lambda fh: prof.to_csv(fh, h))
+    write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (prof.eps_list, prof.s_values))
 
     log["riesz"] = {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est}
     log["invariance"] = {"max_residual": inv_rep.max_residual, "verdict": inv_rep.verdict}
@@ -264,7 +279,7 @@ def cmd_analyze(cfg: dict, args) -> int:
             else "no obstruction triggered on this configuration"
         ),
     }
-    write_json(_out(cfg, args, "summary.json"), log)
+    write_json(_out(args, "summary.json"), log)
     print(
         f"analyze: riesz A={riesz_rep.a_est:.4g}, invariance={inv_rep.verdict}, "
         f"profile={prof.verdict}"
@@ -288,7 +303,7 @@ def cmd_metaplectic(cfg: dict, args) -> int:
         "zak_formula_deviations": rep.as_dict(),
         "factorization": {"matrix": S.to_csv(), "steps": [s.as_dict() for s in steps]},
     }
-    write_json(_out(cfg, args, "metaplectic.json"), body)
+    write_json(_out(args, "metaplectic.json"), body)
     print(
         f"metaplectic: fourier={rep.dev_fourier:.2e} dilation={rep.dev_dilation:.2e} "
         f"chirp={rep.dev_chirp:.2e}"
@@ -306,12 +321,11 @@ def cmd_uncertainty(cfg: dict, args) -> int:
     feich = uncertainty.feichtinger_norm_estimate(
         g, radii=tuple(r for r in radii if r <= g.samples_per_unit / 4) or (2, 4)
     )
-    atomic_write(_out(cfg, args, "moment_time.csv"), lambda fh: t_sweep.to_csv(fh, h))
-    atomic_write(_out(cfg, args, "moment_freq.csv"), lambda fh: f_sweep.to_csv(fh, h))
-    atomic_write(_out(cfg, args, "gagliardo.csv"), lambda fh: gag.to_csv(fh, h))
-    atomic_write(_out(cfg, args, "feichtinger.csv"), lambda fh: feich.to_csv(fh, h))
+    for name, sw in (("moment_time", t_sweep), ("moment_freq", f_sweep),
+                     ("gagliardo", gag), ("feichtinger", feich)):
+        write_csv(_out(args, f"{name}.csv"), h, (sw.axis, "partial_value"), (sw.radii, sw.partials))
     write_json(
-        _out(cfg, args, "uncertainty.json"),
+        _out(args, "uncertainty.json"),
         {
             "schema": 1,
             "config": h,
@@ -356,7 +370,7 @@ def cmd_demo(cfg: dict, args) -> int:
     print(f"oscillation near the support jump: S = {prof.s_values} -> {prof.verdict}")
     if args.out:
         write_json(
-            _out(cfg, args, "demo.json"),
+            _out(args, "demo.json"),
             {
                 "schema": 1,
                 "riesz": {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est},
@@ -398,8 +412,6 @@ def _suite_sl2(seed: int, cases: int) -> bool:
 
 
 def _suite_pi_commutation(seed: int, cases: int) -> bool:
-    from .core import inner_product, tf_shift
-
     rng = np.random.default_rng(seed)
     g = sample_function("gaussian", (-8, 8), 64)
     worst = 0.0
@@ -409,12 +421,8 @@ def _suite_pi_commutation(seed: int, cases: int) -> bool:
         lhs = tf_shift(tf_shift(g, (c, d)), (a, b))
         rhs = tf_shift(g, (a + c, b + d))
         phase = np.exp(-2j * np.pi * a * d)
-        j0 = min(lhs.j_min, rhs.j_min)
-        j1 = max(lhs.k_max * 64, rhs.k_max * 64)
-        va = np.zeros(j1 - j0, complex)
-        vb = np.zeros(j1 - j0, complex)
-        va[lhs.j_min - j0 : lhs.j_min - j0 + len(lhs.values)] = lhs.values
-        vb[rhs.j_min - j0 : rhs.j_min - j0 + len(rhs.values)] = rhs.values
+        k0, k1 = min(lhs.k_min, rhs.k_min), max(lhs.k_max, rhs.k_max)
+        va, vb = embed(lhs, k0, k1).values, embed(rhs, k0, k1).values
         worst = max(worst, float(np.max(np.abs(va - phase * vb))))
     print(f"  worst commutation deviation {worst:.3e}")
     return worst < 1e-10
@@ -476,9 +484,6 @@ def main(argv=None) -> int:
     pt.add_argument("suite")
     pt.add_argument("--cases", type=int, default=1000)
     args = parser.parse_args(argv)
-    # re-attach shared flags for subcommand handlers
-    if not hasattr(args, "cases"):
-        args.cases = 1000
 
     handlers = {
         "zak": cmd_zak,
@@ -495,12 +500,13 @@ def main(argv=None) -> int:
         if args.command == "proptest":
             return cmd_proptest(cfg, args)
         return handlers[args.command](cfg, args)
-    except (ConfigError, GridError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (gabor.RieszFailureError, zak.AliasingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    # after the numerical clause: AliasingError and LinAlgError are ValueErrors
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
-
 
 class GridError(ValueError):
     """A requested operation is not exact on the sampling grid."""
@@ -147,6 +145,17 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
     fv = f.values[j0 - f.j_min : j1 - f.j_min]
     gv = g.values[j0 - g.j_min : j1 - g.j_min]
     return complex(np.vdot(gv, fv)) / s
+
+
+def embed(f: SampledFunction, k0: int, k1: int) -> SampledFunction:
+    """Zero-extend f onto the cells [k0, k1), which must contain its support."""
+    if k0 > f.k_min or k1 < f.k_max:
+        raise ValueError(f"cells [{k0}, {k1}) do not contain the support [{f.k_min}, {f.k_max})")
+    s = f.samples_per_unit
+    out = np.zeros((k1 - k0) * s, dtype=np.complex128)
+    off = (f.k_min - k0) * s
+    out[off : off + len(f.values)] = f.values
+    return SampledFunction(s, k0, k1, out)
 
 
 def tf_shift(f: SampledFunction, shift) -> SampledFunction:

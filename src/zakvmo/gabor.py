@@ -18,14 +18,13 @@ shifted node is again a node and no interpolation ever happens.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .core import GridError, SampledFunction, inner_product, tf_shift
+from .core import GridError, SampledFunction, embed, tf_shift
 from .symplectic import as_fraction
 from .vmo import ScalarField2D
 from .zak import ZakGrid, extended_values, rolled, zak_transform
@@ -152,25 +151,6 @@ class RieszReport:
             "bounds_are_grid_level": True,
         }
 
-    def profile_to_csv(self, path_or_buf, config_hash: str | None = None) -> None:
-        buf = io.StringIO()
-        if config_hash:
-            buf.write(f"# config {config_hash}\n")
-        buf.write("x,omega,sigma_min,sigma_max\n")
-        nxf, nw = self.sigma_min.shape
-        for i in range(nxf):
-            for j in range(nw):
-                buf.write(
-                    f"{i / (nxf * self.P)!r},{j / nw!r},"
-                    f"{float(self.sigma_min[i, j])!r},{float(self.sigma_max[i, j])!r}\n"
-                )
-        data = buf.getvalue()
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(data)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(data)
-
 
 def _riesz_from_zak(Zg: ZakGrid, lat: SeparableLattice) -> RieszReport:
     A = zz_matrix(Zg, lat, domain="rp")
@@ -210,6 +190,16 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
     return _riesz_from_zak(zak_transform(g, nx, nw), lat)
 
 
+def _translates(g: SampledFunction, lat: SeparableLattice, trunc: int, lo: int, hi: int) -> np.ndarray:
+    """Rows pi(m/Q, nP) g for |m|, |n| <= trunc, zero-extended onto cells [lo, hi)."""
+    shifts = range(-trunc, trunc + 1)
+    return np.array([
+        embed(tf_shift(g, (Fraction(m, lat.Q), n * lat.P)), lo, hi).values
+        for m in shifts
+        for n in shifts
+    ])
+
+
 def gram_riesz_oracle(g: SampledFunction, lat: SeparableLattice, trunc: int) -> tuple[float, float]:
     """Independent bracket: extreme eigenvalues of the finite Gram matrix
     of { pi(m/Q, n P) g : |m|, |n| <= trunc }.
@@ -227,17 +217,7 @@ def gram_riesz_oracle(g: SampledFunction, lat: SeparableLattice, trunc: int) -> 
         )
     pad = -((-trunc) // Q) + 1
     lo, hi = g.k_min - pad, g.k_max + pad
-    nbig = (hi - lo) * s
-    shifts = range(-trunc, trunc + 1)
-    vecs = np.zeros(((2 * trunc + 1) ** 2, nbig), dtype=np.complex128)
-    x = np.arange(lo * s, hi * s) / s
-    row = 0
-    for m in shifts:
-        off = (g.k_min - lo) * s + m * s // Q
-        for n in shifts:
-            vecs[row, off : off + len(g.values)] = g.values
-            vecs[row] *= np.exp(2j * np.pi * (n * P) * x)
-            row += 1
+    vecs = _translates(g, lat, trunc, lo, hi)
     gram = vecs @ vecs.conj().T / s
     eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     return float(max(eig[0], 0.0)), float(eig[-1])
@@ -307,12 +287,8 @@ def resynthesize(
     pad = -((-mmax) // Q) + 1
     lo, hi = g.k_min - pad, g.k_max + pad
     out = np.zeros((hi - lo) * s, dtype=np.complex128)
-    x = np.arange(lo * s, hi * s) / s
     for (m, n), c in coeffs.items():
-        off = (g.k_min - lo) * s + m * s // Q
-        term = np.zeros_like(out)
-        term[off : off + len(g.values)] = g.values
-        out += c * term * np.exp(2j * np.pi * (n * P) * x)
+        out += c * embed(tf_shift(g, (Fraction(m, Q), n * P)), lo, hi).values
     return SampledFunction(s, lo, hi, out)
 
 
@@ -465,24 +441,12 @@ def projection_residual_oracle(
     """Independent time-domain check: relative L2 distance from
     pi(u, eta) g to the span of { pi(m/Q, nP) g : |m|, |n| <= trunc }."""
     u, eta = as_fraction(u), as_fraction(eta)
-    P, Q = lat.P, lat.Q
-    s = g.samples_per_unit
     target = tf_shift(g, (float(u), float(eta)))
-    pad = -((-trunc) // Q) + 2
+    pad = -((-trunc) // lat.Q) + 2
     lo = min(g.k_min - pad, target.k_min)
     hi = max(g.k_max + pad, target.k_max)
-    nbig = (hi - lo) * s
-    x = np.arange(lo * s, hi * s) / s
-    rows = []
-    for m in range(-trunc, trunc + 1):
-        off = (g.k_min - lo) * s + m * s // Q
-        base = np.zeros(nbig, dtype=np.complex128)
-        base[off : off + len(g.values)] = g.values
-        for n in range(-trunc, trunc + 1):
-            rows.append(base * np.exp(2j * np.pi * (n * P) * x))
-    V = np.array(rows)
-    t = np.zeros(nbig, dtype=np.complex128)
-    t[(target.k_min - lo) * s : (target.k_min - lo) * s + len(target.values)] = target.values
+    V = _translates(g, lat, trunc, lo, hi)
+    t = embed(target, lo, hi).values
     c, *_ = np.linalg.lstsq(V.T, t, rcond=None)
     resid = t - V.T @ c
     return float(np.linalg.norm(resid) / np.linalg.norm(t))

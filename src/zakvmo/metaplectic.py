@@ -30,12 +30,13 @@ import numpy as np
 from .core import (
     GridError,
     SampledFunction,
+    embed,
     fourier_transform,
     inner_product,
     tf_shift,
 )
 from .symplectic import GeneratorStep, RationalMatrix2, as_fraction, sl2_factorize, steps_matrix
-from .zak import ZakGrid, extended_values, zak_transform
+from .zak import extended_values, zak_transform
 
 
 def apply_dilation(f: SampledFunction, mu) -> SampledFunction:
@@ -157,12 +158,8 @@ def chirp_decomposition_residual(f: SampledFunction, beta, gamma) -> float:
     rhs = apply_dilation(apply_chirp(apply_dilation(f, gamma), beta * gamma * gamma), 1 / gamma)
     if lhs.samples_per_unit != rhs.samples_per_unit:
         raise GridError("decomposition changed the sample rate")
-    j0 = min(lhs.j_min, rhs.j_min)
-    j1 = max(lhs.k_max * lhs.samples_per_unit, rhs.k_max * rhs.samples_per_unit)
-    a = np.zeros(j1 - j0, dtype=np.complex128)
-    b = np.zeros(j1 - j0, dtype=np.complex128)
-    a[lhs.j_min - j0 : lhs.j_min - j0 + len(lhs.values)] = lhs.values
-    b[rhs.j_min - j0 : rhs.j_min - j0 + len(rhs.values)] = rhs.values
+    k0, k1 = min(lhs.k_min, rhs.k_min), max(lhs.k_max, rhs.k_max)
+    a, b = embed(lhs, k0, k1).values, embed(rhs, k0, k1).values
     return float(np.linalg.norm(a - b) / math.sqrt(lhs.samples_per_unit))
 
 

@@ -11,14 +11,13 @@ linear or logarithmic.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .core import GridError, SampledFunction, fourier_transform
+from .core import GridError, SampledFunction, embed, fourier_transform
 
 
 @dataclass(frozen=True)
@@ -44,20 +43,6 @@ class DivergenceSweep:
     growth_shape: str | None  # 'linear' | 'log' | None
     growth_rate: float | None
     axis: str = "radius"
-
-    def to_csv(self, path_or_buf, config_hash: str | None = None) -> None:
-        buf = io.StringIO()
-        if config_hash:
-            buf.write(f"# config {config_hash}\n")
-        buf.write(f"{self.axis},partial_value\n")
-        for r, p in zip(self.radii, self.partials):
-            buf.write(f"{float(r)!r},{float(p)!r}\n")
-        data = buf.getvalue()
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(data)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(data)
 
     def as_dict(self) -> dict:
         return {
@@ -175,16 +160,13 @@ def gagliardo_seminorm(
     """
     if not 0.0 < s < 1.0:
         raise ValueError("s must lie in (0, 1)")
-    sper = g.samples_per_unit
-    h = 1.0 / sper
+    h = 1.0 / g.samples_per_unit
     expo = 1.0 + 2.0 * s
     # zero-extend the samples over [-rmax, rmax]: pairs with one point
     # outside the support carry the jump contributions
     rmax = int(math.ceil(float(max(radii))))
-    lo, hi = min(g.k_min, -rmax), max(g.k_max, rmax)
-    big = np.zeros((hi - lo) * sper, dtype=np.complex128)
-    big[(g.k_min - lo) * sper : (g.k_min - lo) * sper + len(g.values)] = g.values
-    x = np.arange(lo * sper, hi * sper) / sper
+    ext = embed(g, min(g.k_min, -rmax), max(g.k_max, rmax))
+    big, x = ext.values, ext.grid()
 
     def banded(r, band):
         vals = np.ascontiguousarray(big[np.abs(x) <= r])

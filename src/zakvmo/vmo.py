@@ -18,9 +18,8 @@ grid-level proxies in reports.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -317,20 +316,6 @@ class OscillationReport:
             }
         return d
 
-    def to_csv(self, path_or_buf, config_hash: str | None = None) -> None:
-        buf = io.StringIO()
-        if config_hash:
-            buf.write(f"# config {config_hash}\n")
-        buf.write("epsilon,S\n")
-        for e, s in zip(self.eps_list, self.s_values):
-            buf.write(f"{float(e)!r},{float(s)!r}\n")
-        data = buf.getvalue()
-        if hasattr(path_or_buf, "write"):
-            path_or_buf.write(data)
-        else:
-            with open(path_or_buf, "w") as fh:
-                fh.write(data)
-
 
 def vmo_decay_profile(
     F: ScalarField2D, U, eps_list, floor: float = 0.1, stride: int = 1
@@ -571,7 +556,6 @@ def check_inequalities(
     i0, j0, ni, nj = _rect_window(F, U)
     WF = F.window(i0, j0, ni, nj)
     WG = G.window(i0, j0, ni, nj)
-    prod_field = ScalarField2D(F.x0, F.w0, F.hx, F.hw, F.values * G.values, F.extension)
     WP = WF * WG
     sup_f = float(np.max(np.abs(WF)))
     sup_g = float(np.max(np.abs(WG)))
@@ -610,7 +594,7 @@ def check_inequalities(
     r = InequalityResult("product_osc_sup")
     scans = {}
 
-    def sub_supremum(key, W_unused, i, j, wi, wj, side_cap):
+    def sub_supremum(key, i, j, wi, wj, side_cap):
         best = 0.0
         for side, sx, sy in sides:
             if side * side >= side_cap or sx > wi or sy > wj:
@@ -634,9 +618,9 @@ def check_inequalities(
         i = int(rng.integers(0, ni - wi + 1))
         j = int(rng.integers(0, nj - wj + 1))
         cap = eps * float(rng.uniform(0.3, 1.0))
-        sF = sub_supremum("F", WF, i, j, wi, wj, cap)
-        sG = sub_supremum("G", WG, i, j, wi, wj, cap)
-        sP = sub_supremum("P", WP, i, j, wi, wj, cap)
+        sF = sub_supremum("F", i, j, wi, wj, cap)
+        sG = sub_supremum("G", i, j, wi, wj, cap)
+        sP = sub_supremum("P", i, j, wi, wj, cap)
         rhs = 1.5 * max(sup_f, sup_g) * (sF + sG)
         r.max_ratio = max(r.max_ratio, _ratio(sP, rhs))
         r.cases += 1

@@ -13,7 +13,6 @@ on demand, never stored.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -204,22 +203,3 @@ def check_zak_identities(f: SampledFunction, nx: int | None = None, nw: int | No
 
     return ZakIdentityReport(dev_a, dev_b, dev_c, dev_d)
 
-
-def zak_to_csv(Z: ZakGrid, path_or_buf, config_hash: str | None = None) -> None:
-    """Write the grid as CSV rows (x, omega, re, im)."""
-    buf = io.StringIO()
-    if config_hash:
-        buf.write(f"# config {config_hash}\n")
-    buf.write("x,omega,re,im\n")
-    for j in range(Z.nx):
-        x = j / Z.nx
-        row = Z.values[j]
-        for m in range(Z.nw):
-            v = row[m]
-            buf.write(f"{x!r},{m / Z.nw!r},{float(v.real)!r},{float(v.imag)!r}\n")
-    data = buf.getvalue()
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(data)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(data)

@@ -10,10 +10,8 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from conftest import l2_distance
-from zakvmo import _kernels
 from zakvmo.cli import main as cli_main
 from zakvmo.core import sample_function, tf_shift
 from zakvmo.gabor import (
@@ -34,7 +32,7 @@ from zakvmo.metaplectic import (
     chirp_decomposition_residual,
     covariance_residual,
 )
-from zakvmo.symplectic import RationalMatrix2, lattice_density, lattice_reduce, random_sl2, sl2_factorize, steps_matrix
+from zakvmo.symplectic import RationalMatrix2, lattice_reduce, random_sl2, sl2_factorize, steps_matrix
 from zakvmo.uncertainty import feichtinger_norm_estimate, gagliardo_seminorm, uncertainty_product, weighted_moment
 from zakvmo.vmo import ScalarField2D, check_inequalities, field_from_zak, mean, mean_function, mean_oscillation, random_trig_field, remark_cube, vmo_decay_profile
 from zakvmo.zak import check_zak_identities, zak_l2_norm, zak_transform
@@ -209,7 +207,6 @@ def test_c08_transfer_matrix_identities(rng):
 
 def test_c09_vmo_inequality_suite():
     t0 = time.perf_counter()
-    _kernels.warm_up()
     rng = np.random.default_rng(11)
     F = random_trig_field(rng, 96, 96, degree=3)
     G = random_trig_field(rng, 96, 96, degree=3)

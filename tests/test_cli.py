@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from zakvmo.cli import main
+from zakvmo.cli import main, write_csv
 
 
 def write_config(tmp_path, **overrides):
@@ -24,6 +25,18 @@ def write_config(tmp_path, **overrides):
     return str(path)
 
 
+def read_csv(path):
+    """(config line, header, rows of floats) of a CSV the CLI wrote."""
+    lines = path.read_text().splitlines()
+    return lines[0], lines[1], [tuple(map(float, line.split(","))) for line in lines[2:]]
+
+
+def test_write_csv_exact_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(str(path), "beef", ("a", "b"), ([0.1 + 0.2, 1], np.array([-0.0, 2.5])))
+    assert path.read_bytes() == b"# config beef\na,b\n0.30000000000000004,-0.0\n1.0,2.5\n"
+
+
 class TestSubcommands:
     def test_zak_outputs(self, tmp_path):
         cfg = write_config(tmp_path, recipe="box", support=[0, 1])
@@ -32,6 +45,8 @@ class TestSubcommands:
         lines = (out / "zak.csv").read_text().splitlines()
         assert lines[0].startswith("# config ")
         assert lines[1] == "x,omega,re,im"
+        assert len(lines) == 2 + 64 * 64
+        assert lines[2:4] == ["0.0,0.0,1.0,0.0", f"0.0,{1 / 64!r},1.0,0.0"]
         # all |values| = 1 for the unit box
         for line in lines[2:10]:
             _, _, re, im = map(float, line.split(","))
@@ -46,6 +61,13 @@ class TestSubcommands:
         assert main(["--config", cfg, "--out", str(out), "riesz"]) == 0
         rep = json.loads((out / "riesz.json").read_text())
         assert 0 < rep["a_est"] < rep["b_est"]
+        config, header, rows = read_csv(out / "riesz_profile.csv")
+        assert config == f"# config {rep['config']}"
+        assert header == "x,omega,sigma_min,sigma_max"
+        assert len(rows) == 32 * 64  # the period rectangle [0, 1/2) x [0, 1)
+        assert rows[0][:2] == (0.0, 0.0) and rows[64][:2] == (1 / 64, 0.0)
+        assert min(r[2] for r in rows) ** 2 / 2 == rep["a_est"]
+        assert max(r[3] for r in rows) ** 2 / 2 == rep["b_est"]
         assert main(["--config", cfg, "--out", str(out), "invariance"]) == 0
         inv = json.loads((out / "invariance.json").read_text())
         assert inv["verdict"] == "not-invariant"
@@ -62,6 +84,11 @@ class TestSubcommands:
         assert summary["summary"]["riesz_sequence"] is True
         assert summary["summary"]["extra_invariance"] == "not-invariant"
         assert summary["summary"]["zak_vmo_profile"] == "vmo-consistent"
+        config, header, rows = read_csv(out / "vmo_profile.csv")
+        assert config == f"# config {summary['config']}"
+        assert header == "epsilon,S"
+        prof = summary["vmo_profile"]
+        assert rows == list(zip(prof["eps"], prof["s_values"]))
 
     def test_analyze_matrix_reduction_path(self, tmp_path):
         # A = diag(2, 1) reduces to P=2, Q=1 via B = diag(1/2, 2); the
@@ -115,6 +142,12 @@ class TestSubcommands:
         assert main(["--config", cfg, "--out", str(out), "uncertainty"]) == 0
         unc = json.loads((out / "uncertainty.json").read_text())
         assert unc["product_divergent"] is False
+        for name, key in (("moment_time", "time_moment"), ("moment_freq", "freq_moment"),
+                          ("gagliardo", "gagliardo_half"), ("feichtinger", "feichtinger")):
+            config, header, rows = read_csv(out / f"{name}.csv")
+            assert config == f"# config {unc['config']}"
+            assert header == f"{unc[key]['axis']},partial_value"
+            assert rows == list(zip(unc[key]["radii"], unc[key]["partials"]))
 
     def test_demo_runs(self, tmp_path, capsys):
         out = tmp_path / "demo"
@@ -134,6 +167,25 @@ class TestExitCodes:
 
     def test_unknown_suite(self, tmp_path):
         assert main(["--out", str(tmp_path), "proptest", "bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("invariance", {"lattice": {"P": 2, "Q": 2}}),
+            ("analyze", {"lattice": {"P": 2, "Q": 2}}),
+            ("metaplectic", {"matrix": ["2", "1", "0", "1"]}),
+            ("invariance", {"shift": ["0", "0"]}),
+            ("metaplectic", {"alpha": "0"}),
+            ("vmo", {"eps_list": [0.001, 0.01]}),
+            ("vmo", {"window": [0.0, 1.0, 0.0]}),
+        ],
+        ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
+             "zero-shift", "zero-alpha", "increasing-eps", "short-window"],
+    )
+    def test_bad_config_value(self, tmp_path, capsys, command, overrides):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_numerical_failure(self, tmp_path):
         # box(0,2) is not a Riesz sequence on Z x Z: the solve reports it

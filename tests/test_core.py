@@ -8,6 +8,7 @@ from zakvmo.core import (
     GridError,
     SampledFunction,
     TFShift,
+    embed,
     fourier_transform,
     inner_product,
     sample_function,
@@ -74,6 +75,19 @@ class TestInnerProduct:
         g = sample_function("gaussian", (-8, 8), 32)
         with pytest.raises(GridError):
             inner_product(gauss64, g)
+
+
+class TestEmbed:
+    def test_zero_extends_onto_cells(self, box64):
+        e = embed(box64, -2, 3)
+        assert (e.k_min, e.k_max, e.samples_per_unit) == (-2, 3, 64)
+        assert np.array_equal(e.values[2 * 64 : 3 * 64], box64.values)
+        assert not np.any(e.values[: 2 * 64]) and not np.any(e.values[3 * 64 :])
+        assert inner_product(e, e) == inner_product(box64, box64)
+
+    def test_cells_must_contain_support(self, box64):
+        with pytest.raises(ValueError):
+            embed(box64, 1, 3)
 
 
 class TestTFShift:

@@ -7,7 +7,6 @@ import pytest
 from conftest import l2_distance
 from zakvmo.core import GridError, sample_function, tf_shift
 from zakvmo.gabor import (
-    MatrixField,
     RieszFailureError,
     SeparableLattice,
     coefficient_recovery,

@@ -1,14 +1,6 @@
-"""Consistency of the numba fast path against the pure-numpy fallback.
-
-The fallback is forced in a subprocess via ZAKVMO_NO_NUMBA so both
-implementations of each kernel are exercised regardless of the environment
-running the suite.
+"""The vectorized kernels in ``zakvmo._kernels`` against plain-loop
+reference implementations that evaluate each definition term by term.
 """
-
-import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 
@@ -57,42 +49,3 @@ def test_gagliardo_matches_reference():
         got = _kernels.gagliardo_pairs(np.ascontiguousarray(v), 0.25, band, 2.0)
         ref = _reference_gagliardo(v, 0.25, band, 2.0)
         assert abs(got - ref) < 1e-10 * max(abs(ref), 1.0)
-
-
-def test_numpy_fallback_path_agrees():
-    script = (
-        "import json, numpy as np\n"
-        "from zakvmo import _kernels\n"
-        "assert not _kernels.USING_NUMBA\n"
-        "rng = np.random.default_rng(9)\n"
-        "w = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))\n"
-        "m = np.empty((10, 10), dtype=complex)\n"
-        "for i in range(10):\n"
-        "    for j in range(10):\n"
-        "        m[i, j] = w[i:i+3, j:j+3].mean()\n"
-        "osc = _kernels.osc_scan(w, m, 3, 3, 1)\n"
-        "v = rng.standard_normal(30) + 0j\n"
-        "gag = _kernels.gagliardo_pairs(v, 0.5, 2, 2.0)\n"
-        "print(json.dumps({'osc': osc.tolist(), 'gag': gag}))\n"
-    )
-    env = dict(os.environ, ZAKVMO_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
-    )
-    payload = json.loads(out.stdout)
-
-    rng = np.random.default_rng(9)
-    w = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    m = np.empty((10, 10), dtype=complex)
-    for i in range(10):
-        for j in range(10):
-            m[i, j] = w[i : i + 3, j : j + 3].mean()
-    osc = _kernels.osc_scan(w, m, 3, 3, 1)
-    v = rng.standard_normal(30) + 0j
-    gag = _kernels.gagliardo_pairs(np.ascontiguousarray(v), 0.5, 2, 2.0)
-    assert np.allclose(np.array(payload["osc"]), osc, atol=1e-12)
-    assert abs(payload["gag"] - gag) < 1e-12
-
-
-def test_warm_up_runs():
-    _kernels.warm_up()

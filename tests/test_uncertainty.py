@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from zakvmo.core import GridError, fourier_transform, sample_function, tf_shift
 from zakvmo.metaplectic import apply_chirp
 from zakvmo.uncertainty import (
-    DivergenceSweep,
     MomentSpec,
     feichtinger_norm_estimate,
     gagliardo_seminorm,
@@ -163,13 +161,3 @@ class TestFeichtinger:
     def test_alias_guard(self, box64):
         with pytest.raises(GridError):
             feichtinger_norm_estimate(box64, radii=(2, 4, 8, 64))
-
-
-def test_sweep_csv():
-    sw = DivergenceSweep([1.0, 2.0], [0.5, 0.75], True, 0.75, None, None)
-    buf = io.StringIO()
-    sw.to_csv(buf, "beef")
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# config beef"
-    assert lines[1] == "radius,partial_value"
-    assert lines[2] == "1.0,0.5"

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -198,15 +197,6 @@ class TestDecayProfiles:
     def test_eps_list_must_decrease(self):
         with pytest.raises(ValueError):
             vmo_decay_profile(const_field(1.0), (0, 1, 0, 1), [0.001, 0.01])
-
-    def test_csv(self):
-        rep = vmo_decay_profile(const_field(1.0), (0, 1, 0, 1), [0.01, 0.001])
-        buf = io.StringIO()
-        rep.to_csv(buf, "cafe")
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "# config cafe"
-        assert lines[1] == "epsilon,S"
-        assert len(lines) == 4
 
 
 class TestInequalities:

@@ -1,5 +1,3 @@
-import io
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +11,6 @@ from zakvmo.zak import (
     inverse_zak,
     zak_extend,
     zak_l2_norm,
-    zak_to_csv,
     zak_transform,
 )
 
@@ -126,15 +123,3 @@ class TestIdentitiesAndUnitarity:
     def test_identities_need_square_grid(self, gauss64):
         with pytest.raises(GridError):
             check_zak_identities(gauss64, 64, 32)
-
-
-def test_csv_serialization(box64):
-    Z = zak_transform(box64, 4, 4)
-    buf = io.StringIO()
-    zak_to_csv(Z, buf, config_hash="deadbeef")
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# config deadbeef"
-    assert lines[1] == "x,omega,re,im"
-    assert len(lines) == 2 + 16
-    x, w, re, im = lines[2].split(",")
-    assert (float(x), float(w), float(re), float(im)) == (0.0, 0.0, 1.0, 0.0)
