@@ -73,6 +73,9 @@ def load_config(path: str | None, overrides: dict) -> dict:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
     cfg.update({k: v for k, v in overrides.items() if v is not None})
+    unknown = sorted(set(cfg) - set(DEFAULT_CONFIG) - {"matrix", "seed"})
+    if unknown:
+        raise ConfigError(f"unknown config keys {unknown}")
     return cfg
 
 
@@ -96,18 +99,46 @@ def build_generator(cfg: dict):
     return sample_function(recipe, tuple(cfg["support"]), int(cfg["S"]))
 
 
-def build_lattice(cfg: dict):
-    """Returns (lattice, reduction-or-None); a 'matrix' entry is reduced to
-    separable form first, mirroring the rational-lattice setup."""
-    if "matrix" in cfg and cfg["matrix"]:
-        A = RationalMatrix2(*(parse_rational(t) for t in cfg["matrix"]))
-        red = lattice_reduce(A)
-        return gabor.SeparableLattice(red.P, red.Q), red
-    lat = cfg.get("lattice", {})
-    try:
-        return gabor.SeparableLattice(int(lat["P"]), int(lat["Q"])), None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad lattice spec {lat!r}: {exc}")
+def build_system(cfg: dict):
+    """(g, lattice, (u, eta), reduction log or None) of a config.
+
+    A 'matrix' entry A is reduced to B A Z^2 = (1/Q) Z x P Z with an exact B
+    in SL(2,Q), and the generator and the probe shift are carried through
+    the metaplectic operator of B, so riesz, invariance and analyze all
+    analyse the same transported system.  A 'lattice' entry has no log.
+    """
+    g = build_generator(cfg)
+    red = None
+    if cfg.get("matrix"):
+        red = lattice_reduce(RationalMatrix2(*(parse_rational(t) for t in cfg["matrix"])))
+        lat = gabor.SeparableLattice(red.P, red.Q)
+    else:
+        spec = cfg.get("lattice", {})
+        try:
+            lat = gabor.SeparableLattice(int(spec["P"]), int(spec["Q"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"bad lattice spec {spec!r}: {exc}")
+    u, eta = (parse_rational(t) for t in cfg["shift"])
+    if red is None:
+        return g, lat, (u, eta), None
+    steps = []
+    if red.B != RationalMatrix2.identity():
+        chain = metaplectic.MetaplecticChain.for_matrix(red.B)
+        need = metaplectic.minimal_sample_multiple(chain.steps)
+        if g.samples_per_unit % need:
+            raise ConfigError(
+                f"S = {g.samples_per_unit} must be a multiple of {need} for this matrix"
+            )
+        g = metaplectic.apply_metaplectic(chain, g)
+        u, eta = red.B.apply((u, eta))  # transport the shift with the lattice
+        steps = [s.as_dict() for s in chain.steps]
+    log = {
+        "B": red.B.to_csv(), "P": red.P, "Q": red.Q,
+        "column_flipped": red.column_flipped,
+        "shift_image": [format_fraction(u), format_fraction(eta)],
+        "steps": steps,
+    }
+    return g, lat, (u, eta), log
 
 
 def atomic_write(path: str, text: str) -> None:
@@ -127,6 +158,15 @@ def atomic_write(path: str, text: str) -> None:
 
 def write_json(path: str, obj: dict) -> None:
     atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def write_report(path: str, rep, config_hash: str, reduction: dict | None = None) -> None:
+    """A report's as_dict() with the config hash and, if given, the reduction log."""
+    body = rep.as_dict()
+    body["config"] = config_hash
+    if reduction is not None:
+        body["reduction"] = reduction
+    write_json(path, body)
 
 
 def write_csv(path: str, config_hash: str, header, columns) -> None:
@@ -152,11 +192,11 @@ def cmd_zak(cfg: dict, args) -> int:
     nx, nw = int(cfg["nx"]), int(cfg["nw"])
     h = config_hash(cfg)
     Z = zak.zak_transform(g, nx, nw)
+    rep = zak.check_zak_identities(g, nx, nw)  # before any file: nx != nw exits 2
     write_csv(
         _out(args, "zak.csv"), h, ("x", "omega", "re", "im"),
         (*_node_columns(nx, nw, nx), Z.values.real, Z.values.imag),
     )
-    rep = zak.check_zak_identities(g, nx, nw)
     write_json(
         _out(args, "zak_identities.json"),
         {"schema": 1, "config": h, "deviations": rep.as_dict(),
@@ -167,18 +207,10 @@ def cmd_zak(cfg: dict, args) -> int:
 
 
 def cmd_riesz(cfg: dict, args) -> int:
-    g = build_generator(cfg)
-    lat, red = build_lattice(cfg)
+    g, lat, _, reduction = build_system(cfg)
     rep = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
     h = config_hash(cfg)
-    body = rep.as_dict()
-    body["config"] = h
-    if red is not None:
-        body["reduction"] = {
-            "B": red.B.to_csv(), "P": red.P, "Q": red.Q,
-            "column_flipped": red.column_flipped,
-        }
-    write_json(_out(args, "riesz.json"), body)
+    write_report(_out(args, "riesz.json"), rep, h, reduction)
     nxf, nw = rep.sigma_min.shape
     write_csv(
         _out(args, "riesz_profile.csv"), h, ("x", "omega", "sigma_min", "sigma_max"),
@@ -189,15 +221,10 @@ def cmd_riesz(cfg: dict, args) -> int:
 
 
 def cmd_invariance(cfg: dict, args) -> int:
-    g = build_generator(cfg)
-    lat, _ = build_lattice(cfg)
-    u, eta = (parse_rational(t) for t in cfg["shift"])
-    rep = gabor.invariance_solve(
-        g, lat, u, eta, int(cfg["nx"]), int(cfg["nw"]), float(cfg["tol"])
-    )
-    body = rep.as_dict()
-    body["config"] = config_hash(cfg)
-    write_json(_out(args, "invariance.json"), body)
+    g, lat, (u, eta), reduction = build_system(cfg)
+    riesz = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
+    rep = gabor.invariance_solve(riesz, u, eta, float(cfg["tol"]))
+    write_report(_out(args, "invariance.json"), rep, config_hash(cfg), reduction)
     print(f"invariance: residual={rep.max_residual:.3g} verdict={rep.verdict}")
     return EXIT_OK
 
@@ -211,9 +238,7 @@ def cmd_vmo(cfg: dict, args) -> int:
     )
     h = config_hash(cfg)
     write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (rep.eps_list, rep.s_values))
-    body = rep.as_dict()
-    body["config"] = h
-    write_json(_out(args, "vmo_witness.json"), body)
+    write_report(_out(args, "vmo_witness.json"), rep, h)
     print(f"vmo: verdict={rep.verdict} tail S={rep.s_values[-1]:.4g}")
     return EXIT_OK
 
@@ -221,46 +246,19 @@ def cmd_vmo(cfg: dict, args) -> int:
 def cmd_analyze(cfg: dict, args) -> int:
     """Reduce the lattice, transport the generator metaplectically, then run
     the Riesz / invariance / oscillation-profile pipeline on the result."""
-    g = build_generator(cfg)
-    lat, red = build_lattice(cfg)
+    g, lat, (u, eta), reduction = build_system(cfg)
     h = config_hash(cfg)
     log = {"schema": 1, "config": h}
-    u, eta = (parse_rational(t) for t in cfg["shift"])
-    if red is not None:
-        steps = []
-        if red.B != RationalMatrix2.identity():
-            chain = metaplectic.MetaplecticChain.for_matrix(red.B)
-            need = metaplectic.minimal_sample_multiple(chain.steps)
-            if g.samples_per_unit % need:
-                raise ConfigError(
-                    f"S = {g.samples_per_unit} must be a multiple of {need} for this matrix"
-                )
-            g = metaplectic.apply_metaplectic(chain, g)
-            u, eta = red.B.apply((u, eta))  # transport the shift with the lattice
-            steps = [s.as_dict() for s in chain.steps]
-        log["reduction"] = {
-            "B": red.B.to_csv(), "P": red.P, "Q": red.Q,
-            "column_flipped": red.column_flipped,
-            "shift_image": [format_fraction(u), format_fraction(eta)],
-            "steps": steps,
-        }
+    if reduction is not None:
+        log["reduction"] = reduction
         write_json(_out(args, "summary.json"), log)  # reduction log first
-    nx, nw = int(cfg["nx"]), int(cfg["nw"])
-    if g.samples_per_unit % nx:
-        raise ConfigError(f"nx = {nx} does not divide S = {g.samples_per_unit}")
-    riesz_rep = gabor.riesz_bounds(g, lat, nx, nw)
-    body = riesz_rep.as_dict()
-    body["config"] = h
-    write_json(_out(args, "riesz.json"), body)
-    inv_rep = gabor.invariance_solve(g, lat, u, eta, nx, nw, float(cfg["tol"]))
-    inv_body = inv_rep.as_dict()
-    inv_body["config"] = h
-    write_json(_out(args, "invariance.json"), inv_body)
-
-    Z = zak.zak_transform(g, nx, nw)
-    F = vmo.field_from_zak(Z)
+    riesz_rep = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
+    write_report(_out(args, "riesz.json"), riesz_rep, h)
+    inv_rep = gabor.invariance_solve(riesz_rep, u, eta, float(cfg["tol"]))
+    write_report(_out(args, "invariance.json"), inv_rep, h)
     prof = vmo.vmo_decay_profile(
-        F, tuple(cfg["window"]), list(cfg["eps_list"]), float(cfg["vmo_floor"])
+        vmo.field_from_zak(riesz_rep.zak), tuple(cfg["window"]), list(cfg["eps_list"]),
+        float(cfg["vmo_floor"]),
     )
     write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (prof.eps_list, prof.s_values))
 
@@ -351,10 +349,10 @@ def cmd_demo(cfg: dict, args) -> int:
     riesz_rep = gabor.riesz_bounds(g, lat, S, S)
     print(f"riesz bounds of the box on Z x Z: A = {riesz_rep.a_est:.3f}, B = {riesz_rep.b_est:.3f}")
     u = Fraction(1, 2)
-    rep = gabor.invariance_solve(g, lat, u, 0, S, S)
+    rep = gabor.invariance_solve(riesz_rep, u, 0)
     print(f"shift (1/2, 0): residual = {rep.max_residual:.2e} -> {rep.verdict}")
     mres = gabor.m_matrix(rep.f_field, lat, 0)
-    Z = zak.zak_transform(g, S, S)
+    Z = riesz_rep.zak
     fr = gabor.fertig_residual(Z, lat, u, 0, mres)
     print(f"transfer-matrix identity residual = {fr:.2e}")
     prod = gabor.product_relation_residual(

@@ -77,9 +77,6 @@ class TFShift:
     u: float
     eta: float
 
-    def grid_exact(self, samples_per_unit: int) -> bool:
-        return abs(self.u * samples_per_unit - round(self.u * samples_per_unit)) < 1e-9
-
 
 def sample_function(recipe, support, samples_per_unit: int) -> SampledFunction:
     """Sample a named built-in (or a custom table) on the given grid.

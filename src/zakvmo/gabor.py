@@ -27,7 +27,7 @@ import numpy as np
 from .core import GridError, SampledFunction, embed, tf_shift
 from .symplectic import as_fraction
 from .vmo import ScalarField2D
-from .zak import ZakGrid, extended_values, rolled, zak_transform
+from .zak import ZakGrid, extended_values, node_index, rolled, zak_transform
 
 
 class RieszFailureError(RuntimeError):
@@ -80,14 +80,6 @@ class MatrixField:
         return self.entries.shape[3]
 
 
-def _lattice_node_check(Z: ZakGrid, lat: SeparableLattice):
-    n = Z.nx
-    if n % lat.P != 0 or n % lat.Q != 0:
-        raise GridError(
-            f"nx = {n} must be divisible by lcm(P, Q) = {math.lcm(lat.P, lat.Q)}"
-        )
-
-
 def zz_matrix(Zg: ZakGrid, lat: SeparableLattice, domain: str = "rp") -> MatrixField:
     """Assemble A(x, w) from quasi-periodically extended Zak samples.
 
@@ -95,9 +87,10 @@ def zz_matrix(Zg: ZakGrid, lat: SeparableLattice, domain: str = "rp") -> MatrixF
     on which the singular values repeat; ``domain="unit"`` keeps all of
     [0,1)^2 (used by the invariance solver).
     """
-    _lattice_node_check(Zg, lat)
     n, nw = Zg.nx, Zg.nw
     P, Q = lat.P, lat.Q
+    if n % P != 0 or n % Q != 0:
+        raise GridError(f"nx = {n} must be divisible by lcm(P, Q) = {math.lcm(P, Q)}")
     nxf = n // P if domain == "rp" else n
     entries = np.empty((P, Q, nxf, nw), dtype=np.complex128)
     for k in range(P):
@@ -122,7 +115,8 @@ def shift_matrix(Q: int, w: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class RieszReport:
-    """Scanned singular-value bounds of the lattice matrix field."""
+    """Scanned singular-value bounds of the lattice matrix field, with the
+    Zak grid they were read from (later stages reuse it)."""
 
     a_est: float
     b_est: float
@@ -132,9 +126,8 @@ class RieszReport:
     sigma_max: np.ndarray
     P: int
     Q: int
-    nx: int
-    nw: int
     zak_sup: float
+    zak: ZakGrid
 
     def as_dict(self) -> dict:
         return {
@@ -145,14 +138,22 @@ class RieszReport:
             "argmax": list(self.argmax),
             "p": self.P,
             "q": self.Q,
-            "nx": self.nx,
-            "nw": self.nw,
+            "nx": self.zak.nx,
+            "nw": self.zak.nw,
             "zak_sup": self.zak_sup,
             "bounds_are_grid_level": True,
         }
 
 
-def _riesz_from_zak(Zg: ZakGrid, lat: SeparableLattice) -> RieszReport:
+def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) -> RieszReport:
+    """Estimate the Riesz bounds by a singular-value scan over the grid.
+
+    A_est = min sigma_min(A)^2 / P and B_est = max sigma_max(A)^2 / P over
+    the period rectangle; for P < Q the matrix has a kernel and A_est = 0.
+    """
+    if not np.any(g.values):
+        raise ValueError("generator is identically zero")
+    Zg = zak_transform(g, nx, nw)
     A = zz_matrix(Zg, lat, domain="rp")
     P, Q = lat.P, lat.Q
     mats = A.entries.transpose(2, 3, 0, 1)
@@ -173,21 +174,9 @@ def _riesz_from_zak(Zg: ZakGrid, lat: SeparableLattice) -> RieszReport:
         sigma_max=smax,
         P=P,
         Q=Q,
-        nx=Zg.nx,
-        nw=Zg.nw,
         zak_sup=float(np.max(np.abs(Zg.values))),
+        zak=Zg,
     )
-
-
-def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) -> RieszReport:
-    """Estimate the Riesz bounds by a singular-value scan over the grid.
-
-    A_est = min sigma_min(A)^2 / P and B_est = max sigma_max(A)^2 / P over
-    the period rectangle; for P < Q the matrix has a kernel and A_est = 0.
-    """
-    if not np.any(g.values):
-        raise ValueError("generator is identically zero")
-    return _riesz_from_zak(zak_transform(g, nx, nw), lat)
 
 
 def _translates(g: SampledFunction, lat: SeparableLattice, trunc: int, lo: int, hi: int) -> np.ndarray:
@@ -333,26 +322,14 @@ class InvarianceReport:
         }
 
 
-def _rational_node(val: Fraction, n: int, what: str) -> int:
-    t = val * n
-    if t.denominator != 1:
-        raise GridError(f"{what} = {val} needs denominator dividing {n}")
-    return int(t)
-
-
 def invariance_solve(
-    g: SampledFunction,
-    lat: SeparableLattice,
-    u,
-    eta,
-    nx: int,
-    nw: int,
-    tol: float = 1e-6,
-    max_order: int | None = None,
+    riesz: RieszReport, u, eta, tol: float = 1e-6, max_order: int | None = None
 ) -> InvarianceReport:
     """Solve A(x,w) F(x,w) = e^{2 pi i eta x} D_P A(x-u, w-eta) e_0 per node.
 
-    Uses the explicit normal equations F = (A* A)^{-1} A* rhs on the Q x Q
+    Reads the Zak grid, the lattice and the lower bound from ``riesz``,
+    the report of :func:`riesz_bounds`, and recomputes none of them.  Uses
+    the explicit normal equations F = (A* A)^{-1} A* rhs on the Q x Q
     blocks.  ``max_residual`` is the sup over nodes of the least-squares
     residual norm relative to the sup of the right-hand-side norm;
     ``periodicity_deviation`` measures F against its required
@@ -362,15 +339,15 @@ def invariance_solve(
     pass Fractions or 'p/q' strings.
     """
     u, eta = as_fraction(u), as_fraction(eta)
+    lat = SeparableLattice(riesz.P, riesz.Q)
     lat.require_coprime()
     P, Q = lat.P, lat.Q
     if (u, eta) == (0, 0):
         raise ValueError("(u, eta) must be nonzero")
-    Z = zak_transform(g, nx, nw)
-    _lattice_node_check(Z, lat)
-    du = _rational_node(u, nx, "u")
-    de = _rational_node(eta, nw, "eta")
-    riesz = _riesz_from_zak(Z, lat)
+    Z = riesz.zak
+    nx, nw = Z.nx, Z.nw
+    du = node_index(u, nx, "u")
+    de = node_index(eta, nw, "eta")
     if riesz.a_est <= 1e-12:
         raise RieszFailureError(
             f"lower Riesz bound ~ {riesz.a_est:.3g}; system is not a Riesz sequence"
@@ -529,8 +506,8 @@ def fertig_residual(Zg: ZakGrid, lat: SeparableLattice, u, eta, M: MMatrixResult
     P, Q = lat.P, lat.Q
     Mv = M.field.entries if isinstance(M, MMatrixResult) else M.entries
     n, nw = Zg.nx, Zg.nw
-    du = _rational_node(u, n, "u")
-    de = _rational_node(eta, nw, "eta")
+    du = node_index(u, n, "u")
+    de = node_index(eta, nw, "eta")
     A = zz_matrix(Zg, lat, domain="unit").entries
     Ashift = np.empty_like(A)
     for k in range(P):
@@ -576,8 +553,8 @@ def product_relation_residual(H, u, eta, N: int, M1: int, M2: int) -> float:
 
     else:
         raise TypeError("H must be a ZakGrid or ScalarField2D")
-    du = _rational_node(u, nx, "u")
-    de = _rational_node(eta, nw, "eta")
+    du = node_index(u, nx, "u")
+    de = node_index(eta, nw, "eta")
     prod = np.ones((nx, nw), dtype=np.complex128)
     for n in range(N):
         prod = prod * read(n * du, n * de)

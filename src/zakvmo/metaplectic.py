@@ -36,7 +36,7 @@ from .core import (
     tf_shift,
 )
 from .symplectic import GeneratorStep, RationalMatrix2, as_fraction, sl2_factorize, steps_matrix
-from .zak import extended_values, zak_transform
+from .zak import extended_values, fourier_identity_dev, zak_transform
 
 
 def apply_dilation(f: SampledFunction, mu) -> SampledFunction:
@@ -184,17 +184,6 @@ class ZakFormulaReport:
         }
 
 
-def _fourier_formula_dev(g: SampledFunction, n: int) -> float:
-    # Z ghat (x, w) = e^{2 pi i x w} Zg(-w, x), needs nx == nw
-    Z = zak_transform(g, n, n)
-    gh = fourier_transform(g)
-    Zh = zak_transform(gh, n, n).values
-    ij = np.arange(n)
-    swap = extended_values(Z, -ij[None, :], ij[:, None])
-    rhs = np.exp(2j * np.pi * np.outer(ij / n, ij / n)) * swap
-    return float(np.max(np.abs(Zh - rhs)))
-
-
 def _dilation_formula_dev(g: SampledFunction, alpha: Fraction, base: int) -> float:
     # alpha > 0:  Z(D_a g)(x,w) = (1/sqrt(pq)) sum_{l<q, r<p} e^{+2 pi i l w}
     #                              Zg(a(x+l), w/a + r/p)
@@ -256,7 +245,7 @@ def check_zak_formulas(g: SampledFunction, alpha, m: int, base: int = 16, n: int
         raise ValueError("alpha must be nonzero")
     nn = n if n is not None else min(g.samples_per_unit, 64)
     return ZakFormulaReport(
-        dev_fourier=_fourier_formula_dev(g, nn),
+        dev_fourier=fourier_identity_dev(g, nn),
         dev_dilation=_dilation_formula_dev(g, alpha, base),
         dev_chirp=_chirp_formula_dev(g, m, nn),
         alpha=alpha,

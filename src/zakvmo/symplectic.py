@@ -49,9 +49,6 @@ class RationalMatrix2:
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
 
-    def is_sl(self) -> bool:
-        return self.det() == 1
-
     def __matmul__(self, other: "RationalMatrix2") -> "RationalMatrix2":
         return RationalMatrix2(
             self.a * other.a + self.b * other.c,
@@ -166,9 +163,6 @@ class LatticeReduction:
     P: int
     Q: int
     column_flipped: bool
-
-    def __iter__(self):
-        return iter((self.B, self.P, self.Q))
 
 
 def lattice_reduce(A: RationalMatrix2) -> LatticeReduction:

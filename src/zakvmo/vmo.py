@@ -127,10 +127,6 @@ class Cube:
         if self.side <= 0:
             raise ValueError("cube side must be positive")
 
-    @property
-    def area(self) -> float:
-        return self.side * self.side
-
 
 def remark_cube(k: int, delta: float) -> Cube:
     """The witness cube [k+(1-d)/2, k+(1+d)/2] x [-d/2, d/2]."""
@@ -218,6 +214,37 @@ def _box_sums(prefix: np.ndarray, sx: int, sy: int) -> np.ndarray:
     )
 
 
+def _size_osc(window: np.ndarray, prefix: np.ndarray, sx: int, sy: int, stride: int = 1) -> np.ndarray:
+    """Oscillation of every strided sx-by-sy cube of a window with prefix sums."""
+    return _kernels.osc_scan(window, _box_sums(prefix, sx, sy) / (sx * sy), sx, sy, stride)
+
+
+def _osc_arrays(W: np.ndarray, sides) -> dict:
+    """(sx, sy) -> per-anchor oscillation array, for every (side, sx, sy) of sides."""
+    pre = _prefix(W)
+    return {(sx, sy): _size_osc(W, pre, sx, sy) for _, sx, sy in sides}
+
+
+def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.inf) -> float:
+    """Largest oscillation of a cube of sides, with area below cap, that lies
+    inside the wi-by-wj subwindow at (i, j); 0 when none fits."""
+    best = 0.0
+    for side, sx, sy in sides:
+        if side * side >= cap or sx > wi or sy > wj:
+            continue
+        sub = osc[(sx, sy)][i : i + wi - sx + 1, j : j + wj - sy + 1]
+        if sub.size:
+            best = max(best, float(sub.max()))
+    return best
+
+
+def _block_stats(W: np.ndarray, i: int, j: int, a: int, b: int):
+    """(mean, mean oscillation) of the a-by-b block of W at (i, j)."""
+    block = W[i : i + a, j : j + b]
+    mu = block.mean()
+    return mu, float(np.mean(np.abs(block - mu)))
+
+
 def _admissible_sides(field: ScalarField2D, ni: int, nj: int, eps: float):
     """(side, sx, sy) triples with side^2 < eps, grid-exact in both axes."""
     out = []
@@ -251,8 +278,7 @@ class _OscScan:
     def osc_array(self, sx: int, sy: int) -> np.ndarray:
         key = (sx, sy)
         if key not in self._osc:
-            means = _box_sums(self.prefix, sx, sy) / (sx * sy)
-            self._osc[key] = _kernels.osc_scan(self.window, means, sx, sy, self.stride)
+            self._osc[key] = _size_osc(self.window, self.prefix, sx, sy, self.stride)
         return self._osc[key]
 
     def supremum(self, eps: float):
@@ -564,11 +590,6 @@ def check_inequalities(
     if not sides:
         raise GridError("eps admits no cube on this grid")
 
-    def cube_stats(W, i, j, sx, sy):
-        block = W[i : i + sx, j : j + sy]
-        mu = block.mean()
-        return mu, float(np.mean(np.abs(block - mu)))
-
     def rand_cube():
         side, sx, sy = sides[rng.integers(len(sides))]
         i = int(rng.integers(0, ni - sx + 1))
@@ -581,9 +602,9 @@ def check_inequalities(
     r = InequalityResult("product_mean")
     for _ in range(n_cases):
         i, j, sx, sy = rand_cube()
-        mf, of = cube_stats(WF, i, j, sx, sy)
-        mg, og = cube_stats(WG, i, j, sx, sy)
-        mp, _ = cube_stats(WP, i, j, sx, sy)
+        mf, of = _block_stats(WF, i, j, sx, sy)
+        mg, og = _block_stats(WG, i, j, sx, sy)
+        mp, _ = _block_stats(WP, i, j, sx, sy)
         lhs = abs(mf * mg - mp)
         rhs = 0.5 * max(sup_f, sup_g) * (of + og)
         r.max_ratio = max(r.max_ratio, _ratio(lhs, rhs))
@@ -592,35 +613,14 @@ def check_inequalities(
 
     # S_{eps,U}(FG) <= 3/2 max(||F||,||G||) (S(F) + S(G)) on random subwindows
     r = InequalityResult("product_osc_sup")
-    scans = {}
-
-    def sub_supremum(key, i, j, wi, wj, side_cap):
-        best = 0.0
-        for side, sx, sy in sides:
-            if side * side >= side_cap or sx > wi or sy > wj:
-                continue
-            arr = scans[key][(sx, sy)]
-            sub = arr[i : i + wi - sx + 1, j : j + wj - sy + 1]
-            if sub.size:
-                best = max(best, float(sub.max()))
-        return best
-
-    for key, W in (("F", WF), ("G", WG), ("P", WP)):
-        pre = _prefix(W)
-        scans[key] = {
-            (sx, sy): _kernels.osc_scan(W, _box_sums(pre, sx, sy) / (sx * sy), sx, sy, 1)
-            for _, sx, sy in sides
-        }
-    n_sub = n_cases
-    for _ in range(n_sub):
+    scans = {key: _osc_arrays(W, sides) for key, W in (("F", WF), ("G", WG), ("P", WP))}
+    for _ in range(n_cases):
         wi = int(rng.integers(16, min(48, ni) + 1))
         wj = int(rng.integers(16, min(48, nj) + 1))
         i = int(rng.integers(0, ni - wi + 1))
         j = int(rng.integers(0, nj - wj + 1))
         cap = eps * float(rng.uniform(0.3, 1.0))
-        sF = sub_supremum("F", i, j, wi, wj, cap)
-        sG = sub_supremum("G", i, j, wi, wj, cap)
-        sP = sub_supremum("P", i, j, wi, wj, cap)
+        sF, sG, sP = (_window_sup(scans[k], sides, i, j, wi, wj, cap) for k in "FGP")
         rhs = 1.5 * max(sup_f, sup_g) * (sF + sG)
         r.max_ratio = max(r.max_ratio, _ratio(sP, rhs))
         r.cases += 1
@@ -641,9 +641,7 @@ def check_inequalities(
             ok_sides = [(s, a, b) for s, a, b in sides if s * s < eps_star]
             if not ok_sides:
                 break
-            s_val = max(
-                float(scans["F"][(a, b)].max()) for _, a, b in ok_sides
-            )
+            s_val = _window_sup(scans["F"], ok_sides, 0, 0, ni, nj)
             if s_val <= c_min / 2:
                 found = (eps_star, ok_sides)
                 break
@@ -654,29 +652,14 @@ def check_inequalities(
         else:
             eps_star, ok_sides = found
             r_low.note = r_inv.note = f"eps_U = {eps_star}"
-            WI = 1.0 / WF
-            pre = _prefix(WI)
-            inv_osc = {
-                (sx, sy): _kernels.osc_scan(WI, _box_sums(pre, sx, sy) / (sx * sy), sx, sy, 1)
-                for _, sx, sy in ok_sides
-            }
+            inv_osc = _osc_arrays(1.0 / WF, ok_sides)
             for _ in range(n_cases):
                 side, sx, sy = ok_sides[rng.integers(len(ok_sides))]
                 i = int(rng.integers(0, ni - sx + 1))
                 j = int(rng.integers(0, nj - sy + 1))
-                mu, _ = cube_stats(WF, i, j, sx, sy)
+                mu = WF[i : i + sx, j : j + sy].mean()
                 r_low.max_ratio = max(r_low.max_ratio, _ratio(c_min / 2, abs(mu)))
                 r_low.cases += 1
-
-            def window_sup(osc_arrays, i, j, wi, wj):
-                best = 0.0
-                for _, sx, sy in ok_sides:
-                    if sx > wi or sy > wj:
-                        continue
-                    sub = osc_arrays[(sx, sy)][i : i + wi - sx + 1, j : j + wj - sy + 1]
-                    if sub.size:
-                        best = max(best, float(sub.max()))
-                return best
 
             lo_i, lo_j = min(16, ni), min(16, nj)
             for _ in range(n_cases):
@@ -684,8 +667,8 @@ def check_inequalities(
                 wj = int(rng.integers(lo_j, min(48, nj) + 1))
                 i = int(rng.integers(0, ni - wi + 1))
                 j = int(rng.integers(0, nj - wj + 1))
-                s_f = window_sup(scans["F"], i, j, wi, wj)
-                s_i = window_sup(inv_osc, i, j, wi, wj)
+                s_f = _window_sup(scans["F"], ok_sides, i, j, wi, wj)
+                s_i = _window_sup(inv_osc, ok_sides, i, j, wi, wj)
                 r_inv.max_ratio = max(r_inv.max_ratio, _ratio(s_i, 4.0 / c_min**2 * s_f))
                 r_inv.cases += 1
     results[r_low.name] = r_low
@@ -693,11 +676,6 @@ def check_inequalities(
 
     # Nested sets: M_{D1}(F) <= 2 |D2|/|D1| M_{D2}(F) for rectangles D1 c D2.
     r = InequalityResult("nested_mean_osc")
-
-    def rect_osc(W, i, j, a, b):
-        block = W[i : i + a, j : j + b]
-        return float(np.mean(np.abs(block - block.mean())))
-
     for _ in range(n_cases):
         a2 = int(rng.integers(4, min(32, ni) + 1))
         b2 = int(rng.integers(4, min(32, nj) + 1))
@@ -707,8 +685,8 @@ def check_inequalities(
         b1 = int(rng.integers(1, b2 + 1))
         i1 = i2 + int(rng.integers(0, a2 - a1 + 1))
         j1 = j2 + int(rng.integers(0, b2 - b1 + 1))
-        lhs = rect_osc(WF, i1, j1, a1, b1)
-        rhs = 2.0 * (a2 * b2) / (a1 * b1) * rect_osc(WF, i2, j2, a2, b2)
+        lhs = _block_stats(WF, i1, j1, a1, b1)[1]
+        rhs = 2.0 * (a2 * b2) / (a1 * b1) * _block_stats(WF, i2, j2, a2, b2)[1]
         r.max_ratio = max(r.max_ratio, _ratio(lhs, rhs))
         r.cases += 1
     results[r.name] = r
@@ -717,24 +695,13 @@ def check_inequalities(
     r = InequalityResult("multi_product_mean")
     WH = 0.5 * (WF + WG)
     sup_h = float(np.max(np.abs(WH)))
-    s_full = {
-        "F": max(float(a.max()) for a in scans["F"].values()),
-        "G": max(float(a.max()) for a in scans["G"].values()),
-    }
-    preh = _prefix(WH)
-    s_full["H"] = max(
-        float(_kernels.osc_scan(WH, _box_sums(preh, sx, sy) / (sx * sy), sx, sy, 1).max())
-        for _, sx, sy in sides
-    )
+    scans["H"] = _osc_arrays(WH, sides)
     c_const = prods_constant([sup_f, sup_g, sup_h])
-    rhs_sum = c_const * (s_full["F"] + s_full["G"] + s_full["H"])
+    rhs_sum = c_const * sum(_window_sup(scans[k], sides, 0, 0, ni, nj) for k in "FGH")
     W3 = WF * WG * WH
     for _ in range(n_cases):
         i, j, sx, sy = rand_cube()
-        m3 = W3[i : i + sx, j : j + sy].mean()
-        mf, _ = cube_stats(WF, i, j, sx, sy)
-        mg, _ = cube_stats(WG, i, j, sx, sy)
-        mh, _ = cube_stats(WH, i, j, sx, sy)
+        m3, mf, mg, mh = (W[i : i + sx, j : j + sy].mean() for W in (W3, WF, WG, WH))
         lhs = abs(m3 - mf * mg * mh)
         r.max_ratio = max(r.max_ratio, _ratio(lhs, rhs_sum))
         r.cases += 1

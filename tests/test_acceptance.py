@@ -147,7 +147,7 @@ def test_c06_bounded_inequality_spot_check(gauss64, rng):
 def test_c07_invariance_pipeline(gauss64):
     S = 32
     box = sample_function("box", (0, 1), S)
-    rep = invariance_solve(box, LAT11, Fraction(1, 2), 0, S, S, max_order=16)
+    rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0, max_order=16)
     assert rep.max_residual < 1e-8
     F = rep.f_field.entries[0, 0]
     w = np.arange(S) / S
@@ -156,11 +156,11 @@ def test_c07_invariance_pipeline(gauss64):
     resyn = resynthesize(box, LAT11, rep.coeffs)
     assert l2_distance(resyn, tf_shift(box, (0.5, 0.0))) < 1e-6
 
-    grep = invariance_solve(gauss64, LAT21, Fraction(1, 2), 0, 64, 64)
+    grep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), Fraction(1, 2), 0)
     assert grep.max_residual > 0.1
 
     for m, n in ((1, 0), (0, 1), (-2, 1)):
-        lrep = invariance_solve(gauss64, LAT21, m, 2 * n, 64, 64)
+        lrep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), m, 2 * n)
         assert lrep.max_residual < 1e-10
         assert set(lrep.coeffs) == {(m, n)}
         assert lrep.parseval_tail < 1e-10
@@ -174,7 +174,7 @@ def test_c08_transfer_matrix_identities(rng):
     S = 32
     box = sample_function("box", (0, 1), S)
     u = Fraction(1, 2)
-    rep = invariance_solve(box, LAT11, u, 0, S, S)
+    rep = invariance_solve(riesz_bounds(box, LAT11, S, S), u, 0)
     mres = m_matrix(rep.f_field, LAT11, 0)
     Z = zak_transform(box, S, S)
     assert fertig_residual(Z, LAT11, u, 0, mres) < 1e-10

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from zakvmo import gabor, zak
 from zakvmo.cli import main, write_csv
 
 
@@ -106,6 +107,39 @@ class TestSubcommands:
         rep = json.loads((out / "invariance.json").read_text())
         assert rep["verdict"] == "not-invariant"
 
+    def test_matrix_riesz_and_invariance_match_analyze(self, tmp_path):
+        # all three subcommands analyse the generator and the shift carried
+        # through the reduction matrix B, not the untransported ones
+        cfg = write_config(tmp_path, matrix=["2", "1", "0", "1"])
+        outs = {}
+        for command in ("analyze", "riesz", "invariance"):
+            outs[command] = tmp_path / command
+            assert main(["--config", cfg, "--out", str(outs[command]), command]) == 0
+
+        def load(command, name):
+            return json.loads((outs[command] / name).read_text())
+
+        riesz, inv = load("riesz", "riesz.json"), load("invariance", "invariance.json")
+        assert riesz["a_est"] == load("analyze", "riesz.json")["a_est"]
+        analyzed = load("analyze", "invariance.json")
+        assert (inv["u"], inv["max_residual"]) == (analyzed["u"], analyzed["max_residual"])
+        reduction = load("analyze", "summary.json")["reduction"]
+        assert riesz["reduction"] == inv["reduction"] == reduction
+        assert reduction["shift_image"] == [inv["u"], inv["eta"]]
+
+    def test_analyze_makes_one_zak_grid(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(f, nx, nw, _real=zak.zak_transform):
+            calls.append((nx, nw))
+            return _real(f, nx, nw)
+
+        for module in (zak, gabor):
+            monkeypatch.setattr(module, "zak_transform", counted)
+        cfg = write_config(tmp_path)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "analyze"]) == 0
+        assert calls == [(64, 64)]
+
     def test_analyze_reports_non_riesz_density(self, tmp_path):
         # A = diag(1/2, 1) has density 2: the system cannot be a Riesz
         # sequence and the pipeline reports the numerical failure, but the
@@ -178,14 +212,22 @@ class TestExitCodes:
             ("metaplectic", {"alpha": "0"}),
             ("vmo", {"eps_list": [0.001, 0.01]}),
             ("vmo", {"window": [0.0, 1.0, 0.0]}),
+            ("zak", {"Nx": 8}),
         ],
         ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
-             "zero-shift", "zero-alpha", "increasing-eps", "short-window"],
+             "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key"],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_zak_unequal_grid_writes_nothing(self, tmp_path):
+        # identity (d) needs nx == nw; the check runs before any file is written
+        cfg = write_config(tmp_path, nw=32)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "zak"]) == 2
+        assert not (out / "zak.csv").exists()
 
     def test_numerical_failure(self, tmp_path):
         # box(0,2) is not a Riesz sequence on Z x Z: the solve reports it

@@ -169,7 +169,7 @@ class TestGramOracle:
 
 class TestInvarianceSolve:
     def test_lattice_point_gives_delta(self, box64):
-        rep = invariance_solve(box64, LAT11, 1, 0, 64, 64)
+        rep = invariance_solve(riesz_bounds(box64, LAT11, 64, 64), 1, 0)
         assert rep.max_residual < 1e-10
         assert rep.verdict == "invariant"
         assert set(rep.coeffs) == {(1, 0)}
@@ -182,7 +182,7 @@ class TestInvarianceSolve:
             n = int(rng.integers(-2, 3))
             if (m, n) == (0, 0):
                 continue
-            rep = invariance_solve(gauss64, LAT21, m, 2 * n, 64, 64)
+            rep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), m, 2 * n)
             assert rep.max_residual < 1e-10
             assert set(rep.coeffs) == {(m, n)}
             assert rep.parseval_tail < 1e-10
@@ -190,7 +190,7 @@ class TestInvarianceSolve:
     def test_box_half_shift_closed_form(self):
         S = 32
         box = sample_function("box", (0, 1), S)
-        rep = invariance_solve(box, LAT11, Fraction(1, 2), 0, S, S)
+        rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0)
         assert rep.max_residual < 1e-8
         assert rep.verdict == "invariant"
         F = rep.f_field.entries[0, 0]
@@ -203,13 +203,13 @@ class TestInvarianceSolve:
     def test_box_resynthesis(self):
         S = 32
         box = sample_function("box", (0, 1), S)
-        rep = invariance_solve(box, LAT11, Fraction(1, 2), 0, S, S, max_order=16)
+        rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0, max_order=16)
         resyn = resynthesize(box, LAT11, rep.coeffs)
         target = tf_shift(box, (0.5, 0.0))
         assert l2_distance(resyn, target) < 1e-6
 
     def test_gaussian_not_invariant(self, gauss64):
-        rep = invariance_solve(gauss64, LAT21, Fraction(1, 2), 0, 64, 64)
+        rep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), Fraction(1, 2), 0)
         assert rep.max_residual > 0.1
         assert rep.verdict == "not-invariant"
         assert rep.coeffs == {}
@@ -222,15 +222,15 @@ class TestInvarianceSolve:
 
     def test_irrational_rejected(self, box64):
         with pytest.raises(TypeError):
-            invariance_solve(box64, LAT11, 0.4142135, 0, 64, 64)
+            invariance_solve(riesz_bounds(box64, LAT11, 64, 64), 0.4142135, 0)
 
     def test_riesz_failure_reported(self):
         f = sample_function(("box", 0.0, 2.0), (0, 2), 64)
         with pytest.raises(RieszFailureError):
-            invariance_solve(f, LAT11, Fraction(1, 2), 0, 64, 64)
+            invariance_solve(riesz_bounds(f, LAT11, 64, 64), Fraction(1, 2), 0)
 
     def test_periodicity_deviation_small(self, gauss64):
-        rep = invariance_solve(gauss64, LAT21, Fraction(1, 2), 0, 64, 64)
+        rep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), Fraction(1, 2), 0)
         assert rep.periodicity_deviation < 1e-10
 
 
@@ -274,7 +274,7 @@ class TestMMatrix:
     def test_q1_is_f_itself(self):
         S = 32
         box = sample_function("box", (0, 1), S)
-        rep = invariance_solve(box, LAT11, Fraction(1, 2), 0, S, S)
+        rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0)
         res = m_matrix(rep.f_field, LAT11, 0)
         assert np.max(np.abs(res.field.entries[0, 0] - rep.f_field.entries[0, 0])) == 0.0
         assert res.conjugation_residual < 1e-12
@@ -307,7 +307,7 @@ class TestMMatrix:
     def test_fertig_on_gaussian_lattice_point(self, gauss64):
         # (u, eta) = (1, 2) is in Z x 2Z: the transfer identity holds with
         # the F field solved by least squares
-        rep = invariance_solve(gauss64, LAT21, 1, 2, 64, 64)
+        rep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), 1, 2)
         res = m_matrix(rep.f_field, LAT21, 2)
         Z = zak_transform(gauss64, 64, 64)
         assert fertig_residual(Z, LAT21, 1, 2, res) < 1e-9
@@ -328,7 +328,7 @@ class TestProductRelation:
     def test_box_demo_product(self):
         S = 32
         box = sample_function("box", (0, 1), S)
-        rep = invariance_solve(box, LAT11, Fraction(1, 2), 0, S, S)
+        rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0)
         H = ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field.entries[0, 0], "periodic")
         assert product_relation_residual(H, Fraction(1, 2), 0, 2, 0, -1) < 1e-10
 
@@ -358,7 +358,7 @@ class TestTelescoping:
         S = 32
         box = sample_function("box", (0, 1), S)
         u, eta, N = Fraction(1, 2), 0, 2
-        rep = invariance_solve(box, LAT11, u, eta, S, S)
+        rep = invariance_solve(riesz_bounds(box, LAT11, S, S), u, eta)
         Z = zak_transform(box, S, S)
         A = zz_matrix(Z, LAT11, domain="unit").entries[0, 0]
         M = m_matrix(rep.f_field, LAT11, eta).field.entries[0, 0]

@@ -1,4 +1,4 @@
-"""Every name a ``zakvmo`` module imports is used in that module.
+"""Every name a ``zakvmo`` module or a test file imports is used in it.
 
 No linter is a dependency, so this parses each source file with ``ast``
 and compares the names its imports bind with the names it reads.  The
@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zakvmo"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "zakvmo"
+FILES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,8 +35,6 @@ def test_checker_flags_unused_and_keeps_used():
     assert unused_imports(src) == ["line 1: io", "line 3: c"]
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
-)
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
