@@ -7,7 +7,6 @@ uncertainty-product divergence sweeps."""
 from .core import GridError, SampledFunction, TFShift, fourier_transform, inner_product, sample_function, tf_shift
 from .gabor import (
     InvarianceReport,
-    MatrixField,
     RieszFailureError,
     RieszReport,
     SeparableLattice,

@@ -192,7 +192,7 @@ def cmd_zak(cfg: dict, args) -> int:
     nx, nw = int(cfg["nx"]), int(cfg["nw"])
     h = config_hash(cfg)
     Z = zak.zak_transform(g, nx, nw)
-    rep = zak.check_zak_identities(g, nx, nw)  # before any file: nx != nw exits 2
+    rep = zak.check_zak_identities(g, Z)  # before any file: nx != nw exits 2
     write_csv(
         _out(args, "zak.csv"), h, ("x", "omega", "re", "im"),
         (*_node_columns(nx, nw, nx), Z.values.real, Z.values.imag),
@@ -352,18 +352,17 @@ def cmd_demo(cfg: dict, args) -> int:
     rep = gabor.invariance_solve(riesz_rep, u, 0)
     print(f"shift (1/2, 0): residual = {rep.max_residual:.2e} -> {rep.verdict}")
     mres = gabor.m_matrix(rep.f_field, lat, 0)
-    Z = riesz_rep.zak
-    fr = gabor.fertig_residual(Z, lat, u, 0, mres)
+    fr = gabor.fertig_residual(riesz_rep, u, 0, mres)
     print(f"transfer-matrix identity residual = {fr:.2e}")
     prod = gabor.product_relation_residual(
-        vmo.ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field.entries[0, 0], "periodic"),
+        vmo.ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field[0], "periodic"),
         u, 0, 2, 0, -1,
     )
     print(f"2-step product equals exp(-2 pi i w): residual = {prod:.2e}")
     ok = gabor.divisibility_check(1, 1, 2, 0, -1)
     print(f"divisibility certificate for (M1, M2) = (0, -1): {ok} "
           f"(the failed certificate is the obstruction: (1/2, 0) is not a lattice point)")
-    F = vmo.field_from_zak(Z)
+    F = vmo.field_from_zak(riesz_rep.zak)
     prof = vmo.vmo_decay_profile(F, (0.75, 1.25, 0.0, 1.0), [1 / 16, 1 / 64], floor=0.1)
     print(f"oscillation near the support jump: S = {prof.s_values} -> {prof.verdict}")
     if args.out:

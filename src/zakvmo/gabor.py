@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import GridError, SampledFunction, embed, tf_shift
 from .symplectic import as_fraction
-from .vmo import ScalarField2D
-from .zak import ZakGrid, extended_values, node_index, rolled, zak_transform
+from .zak import ZakGrid, node_index, rolled, zak_transform
 
 
 class RieszFailureError(RuntimeError):
@@ -55,49 +54,22 @@ class SeparableLattice:
             raise ValueError(f"P={self.P} and Q={self.Q} must be coprime here")
 
 
-@dataclass(eq=False)
-class MatrixField:
-    """Matrix-valued samples on a uniform rectangle grid.
+def zz_matrix(Zg: ZakGrid, lat: SeparableLattice, du: int = 0, de: int = 0) -> np.ndarray:
+    """A(x - du/nx, w - de/nw) at every node of [0,1)^2, from quasi-periodically
+    extended Zak samples; shape (P, Q, nx, nw).
 
-    ``entries`` has shape (rows, cols, nx, nw); node (i, j) sits at
-    (x0 + i*hx, w0 + j*hw).
-    """
-
-    rows: int
-    cols: int
-    x0: float
-    w0: float
-    hx: float
-    hw: float
-    entries: np.ndarray
-
-    @property
-    def nx(self) -> int:
-        return self.entries.shape[2]
-
-    @property
-    def nw(self) -> int:
-        return self.entries.shape[3]
-
-
-def zz_matrix(Zg: ZakGrid, lat: SeparableLattice, domain: str = "rp") -> MatrixField:
-    """Assemble A(x, w) from quasi-periodically extended Zak samples.
-
-    ``domain="rp"`` restricts x to the period rectangle (0, 1/P) x (0, 1)
-    on which the singular values repeat; ``domain="unit"`` keeps all of
-    [0,1)^2 (used by the invariance solver).
+    The singular values repeat with period 1/P in x, so the period
+    rectangle (0, 1/P) x (0, 1) is the slice ``[:, :, :nx // P]``.
     """
     n, nw = Zg.nx, Zg.nw
     P, Q = lat.P, lat.Q
     if n % P != 0 or n % Q != 0:
         raise GridError(f"nx = {n} must be divisible by lcm(P, Q) = {math.lcm(P, Q)}")
-    nxf = n // P if domain == "rp" else n
-    entries = np.empty((P, Q, nxf, nw), dtype=np.complex128)
+    A = np.empty((P, Q, n, nw), dtype=np.complex128)
     for k in range(P):
         for ell in range(Q):
-            dj = k * n // P + ell * n // Q
-            entries[k, ell] = rolled(Zg, dj, 0)[:nxf]
-    return MatrixField(P, Q, 0.0, 0.0, 1.0 / n, 1.0 / nw, entries)
+            A[k, ell] = rolled(Zg, du + k * n // P + ell * n // Q, de)
+    return A
 
 
 def shift_matrix(Q: int, w: np.ndarray) -> np.ndarray:
@@ -116,7 +88,8 @@ def shift_matrix(Q: int, w: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class RieszReport:
     """Scanned singular-value bounds of the lattice matrix field, with the
-    Zak grid they were read from (later stages reuse it)."""
+    Zak grid and the (P, Q, nx, nw) field A they were read from (later
+    stages reuse both)."""
 
     a_est: float
     b_est: float
@@ -128,6 +101,7 @@ class RieszReport:
     Q: int
     zak_sup: float
     zak: ZakGrid
+    field: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -154,9 +128,9 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
     if not np.any(g.values):
         raise ValueError("generator is identically zero")
     Zg = zak_transform(g, nx, nw)
-    A = zz_matrix(Zg, lat, domain="rp")
+    A = zz_matrix(Zg, lat)
     P, Q = lat.P, lat.Q
-    mats = A.entries.transpose(2, 3, 0, 1)
+    mats = A[:, :, : Zg.nx // P].transpose(2, 3, 0, 1)
     sv = np.linalg.svd(mats, compute_uv=False)  # (nxf, nw, min(P, Q))
     smax = sv[..., 0]
     smin = sv[..., -1] if P >= Q else np.zeros_like(sv[..., 0])
@@ -176,6 +150,7 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
         Q=Q,
         zak_sup=float(np.max(np.abs(Zg.values))),
         zak=Zg,
+        field=A,
     )
 
 
@@ -226,14 +201,14 @@ def coefficient_recovery(
 ) -> CoefficientRecovery:
     """Read c_{sQ+l, n} from the vector field F on its period rectangle.
 
-    ``F`` is the (Q, nx, nw) array (or Q-by-1 MatrixField) of components
+    ``F`` is the (Q, nx, nw) array of components
     F_l(x, w) = sum_{s,n} c_{sQ+l, n} e^{2 pi i (n P x - s w)}; each
     component is averaged against the matching mode on [0, 1/P) x [0, 1).
     Coefficients are truncated at |s|, |n| <= max_order and reported as a
     sparse map (m, n) -> complex with m = s*Q + l, together with the
     Parseval tail sum |c|^2 outside the truncation.
     """
-    vals = F.entries[:, 0] if isinstance(F, MatrixField) else np.asarray(F)
+    vals = np.asarray(F)
     Q, nx, nw = vals.shape
     P = lat.P
     if nx % P != 0:
@@ -295,7 +270,7 @@ class InvarianceReport:
     verdict: str  # invariant | not-invariant | inconclusive
     coeffs: dict
     parseval_tail: float
-    f_field: MatrixField
+    f_field: np.ndarray  # (Q, nx, nw)
     riesz: RieszReport
     u: Fraction
     eta: Fraction
@@ -327,10 +302,10 @@ def invariance_solve(
 ) -> InvarianceReport:
     """Solve A(x,w) F(x,w) = e^{2 pi i eta x} D_P A(x-u, w-eta) e_0 per node.
 
-    Reads the Zak grid, the lattice and the lower bound from ``riesz``,
-    the report of :func:`riesz_bounds`, and recomputes none of them.  Uses
-    the explicit normal equations F = (A* A)^{-1} A* rhs on the Q x Q
-    blocks.  ``max_residual`` is the sup over nodes of the least-squares
+    Reads the Zak grid, the field A, the lattice and the lower bound from
+    ``riesz``, the report of :func:`riesz_bounds`, and recomputes none of
+    them.  Uses the explicit normal equations F = (A* A)^{-1} A* rhs on the
+    Q x Q blocks.  ``max_residual`` is the sup over nodes of the least-squares
     residual norm relative to the sup of the right-hand-side norm;
     ``periodicity_deviation`` measures F against its required
     1/P-periodicity in x (1-periodicity in w holds identically on the
@@ -353,22 +328,16 @@ def invariance_solve(
             f"lower Riesz bound ~ {riesz.a_est:.3g}; system is not a Riesz sequence"
         )
 
-    A = zz_matrix(Z, lat, domain="unit").entries  # (P, Q, nx, nw)
     rhs = np.empty((P, nx, nw), dtype=np.complex128)
     xg = np.arange(nx) / nx
     for k in range(P):
-        shifted = extended_values(
-            Z,
-            (np.arange(nx) - du - k * nx // P)[:, None],
-            (np.arange(nw) - de)[None, :],
-        )
         rhs[k] = (
             np.exp(2j * np.pi * float(eta) * xg)[:, None]
             * np.exp(-2j * np.pi * float(eta) * k / P)
-            * shifted
+            * rolled(Z, du + k * nx // P, de)
         )
 
-    Am = A.transpose(2, 3, 0, 1).reshape(-1, P, Q)
+    Am = riesz.field.transpose(2, 3, 0, 1).reshape(-1, P, Q)
     bm = rhs.transpose(1, 2, 0).reshape(-1, P)
     AH = Am.conj().transpose(0, 2, 1)
     G = AH @ Am
@@ -383,7 +352,6 @@ def invariance_solve(
 
     Fv = Fm.reshape(nx, nw, Q).transpose(2, 0, 1)
     per_dev = float(np.max(np.abs(Fv - np.roll(Fv, nx // P, axis=1))))
-    f_field = MatrixField(Q, 1, 0.0, 0.0, 1.0 / nx, 1.0 / nw, Fv[:, None])
 
     worst = max(max_residual, per_dev)
     if worst < tol:
@@ -404,7 +372,7 @@ def invariance_solve(
         verdict=verdict,
         coeffs=coeffs,
         parseval_tail=tail,
-        f_field=f_field,
+        f_field=Fv,
         riesz=riesz,
         u=u,
         eta=eta,
@@ -441,7 +409,7 @@ class MMatrixResult:
     of det M from 1/Q-periodicity in x, the consequence used downstream.
     """
 
-    field: MatrixField
+    field: np.ndarray  # (Q, Q, nx, nw)
     conjugation_residual: float
     plain_conjugation_residual: float
     det_periodicity: float
@@ -450,7 +418,7 @@ class MMatrixResult:
 def m_matrix(F, lat: SeparableLattice, eta) -> MMatrixResult:
     """Build M(x,w) with columns e^{2 pi i eta l / Q} R(w)^l F(x - l/Q, w)."""
     eta = as_fraction(eta)
-    vals = F.entries[:, 0] if isinstance(F, MatrixField) else np.asarray(F)
+    vals = np.asarray(F)
     Q, nx, nw = vals.shape
     if nx % Q != 0:
         raise GridError("nx must be divisible by Q")
@@ -496,29 +464,24 @@ def m_matrix(F, lat: SeparableLattice, eta) -> MMatrixResult:
 
     det = np.linalg.det(M.transpose(2, 3, 0, 1))
     det_dev = float(np.max(np.abs(det - np.roll(det, nx // Q, axis=0))))
-    field = MatrixField(Q, Q, 0.0, 0.0, 1.0 / nx, 1.0 / nw, M)
-    return MMatrixResult(field, res_corr, res_plain, det_dev)
+    return MMatrixResult(M, res_corr, res_plain, det_dev)
 
 
-def fertig_residual(Zg: ZakGrid, lat: SeparableLattice, u, eta, M: MMatrixResult | MatrixField) -> float:
-    """Sup-norm residual of A(x-u, w-eta) = e^{-2 pi i eta x} D_P^{-1} A M."""
+def fertig_residual(riesz: RieszReport, u, eta, M: MMatrixResult) -> float:
+    """Sup-norm residual of A(x-u, w-eta) = e^{-2 pi i eta x} D_P^{-1} A M.
+
+    A is the field of ``riesz``, the report of :func:`riesz_bounds`; only
+    the shifted field is assembled here.
+    """
     u, eta = as_fraction(u), as_fraction(eta)
-    P, Q = lat.P, lat.Q
-    Mv = M.field.entries if isinstance(M, MMatrixResult) else M.entries
-    n, nw = Zg.nx, Zg.nw
+    Z, P = riesz.zak, riesz.P
+    n, nw = Z.nx, Z.nw
     du = node_index(u, n, "u")
     de = node_index(eta, nw, "eta")
-    A = zz_matrix(Zg, lat, domain="unit").entries
-    Ashift = np.empty_like(A)
-    for k in range(P):
-        for ell in range(Q):
-            dj = k * n // P + ell * n // Q
-            Ashift[k, ell] = extended_values(
-                Zg, (np.arange(n) - du - dj)[:, None], (np.arange(nw) - de)[None, :]
-            )
+    Ashift = zz_matrix(Z, SeparableLattice(P, riesz.Q), du, de)
     xg = np.arange(n) / n
     dp_inv = np.exp(2j * np.pi * float(eta) * np.arange(P) / P)
-    prod = np.einsum("pqxw,qrxw->prxw", A, Mv)
+    prod = np.einsum("pqxw,qrxw->prxw", riesz.field, M.field)
     rhs = (
         np.exp(-2j * np.pi * float(eta) * xg)[None, None, :, None]
         * dp_inv[:, None, None, None]
@@ -530,34 +493,19 @@ def fertig_residual(Zg: ZakGrid, lat: SeparableLattice, u, eta, M: MMatrixResult
 def product_relation_residual(H, u, eta, N: int, M1: int, M2: int) -> float:
     """Sup-norm residual of prod_n H(x + n u, w + n eta) = e^{2 pi i (M1 x + M2 w)}.
 
-    ``H`` may be a ZakGrid (quasi-periodic extension) or a periodic /
-    quasi-periodic ScalarField2D on the unit square; N u and N eta must be
+    ``H`` is a periodic or quasi-periodic ScalarField2D on the unit square
+    (a Zak grid enters as ``vmo.field_from_zak``); N u and N eta must be
     integers and the shifts must land on nodes.
     """
     u, eta = as_fraction(u), as_fraction(eta)
     if (N * u).denominator != 1 or (N * eta).denominator != 1:
         raise ValueError("N u and N eta must be integers")
-    if isinstance(H, ZakGrid):
-        nx, nw = H.nx, H.nw
-
-        def read(dn_x, dn_w):
-            return extended_values(
-                H, (np.arange(nx) + dn_x)[:, None], (np.arange(nw) + dn_w)[None, :]
-            )
-
-    elif isinstance(H, ScalarField2D):
-        nx, nw = H.values.shape
-
-        def read(dn_x, dn_w):
-            return H.window(dn_x, dn_w, nx, nw)
-
-    else:
-        raise TypeError("H must be a ZakGrid or ScalarField2D")
+    nx, nw = H.values.shape
     du = node_index(u, nx, "u")
     de = node_index(eta, nw, "eta")
     prod = np.ones((nx, nw), dtype=np.complex128)
     for n in range(N):
-        prod = prod * read(n * du, n * de)
+        prod = prod * H.window(n * du, n * de, nx, nw)
     xg = np.arange(nx) / nx
     wg = np.arange(nw) / nw
     target = np.exp(2j * np.pi * (M1 * xg[:, None] + M2 * wg[None, :]))

@@ -36,7 +36,7 @@ from .core import (
     tf_shift,
 )
 from .symplectic import GeneratorStep, RationalMatrix2, as_fraction, sl2_factorize, steps_matrix
-from .zak import extended_values, fourier_identity_dev, zak_transform
+from .zak import ZakGrid, extended_values, fourier_identity_dev, zak_transform
 
 
 def apply_dilation(f: SampledFunction, mu) -> SampledFunction:
@@ -220,9 +220,9 @@ def _dilation_formula_dev(g: SampledFunction, alpha: Fraction, base: int) -> flo
     return float(np.max(np.abs(Zd - acc)))
 
 
-def _chirp_formula_dev(g: SampledFunction, m: int, n: int) -> float:
-    # Z(C_m g)(x, w) = e^{2 pi i m x^2} Zg(x, w - 2 m x)
-    Z = zak_transform(g, n, n)
+def _chirp_formula_dev(g: SampledFunction, Z: ZakGrid, m: int) -> float:
+    # Z(C_m g)(x, w) = e^{2 pi i m x^2} Zg(x, w - 2 m x) on the n-by-n grid of Z
+    n = Z.nx
     Zc = zak_transform(apply_chirp(g, m), n, n).values
     j = np.arange(n)
     iw = j[None, :] - 2 * m * j[:, None]
@@ -232,22 +232,23 @@ def _chirp_formula_dev(g: SampledFunction, m: int, n: int) -> float:
     return float(np.max(np.abs(Zc - rhs)))
 
 
-def check_zak_formulas(g: SampledFunction, alpha, m: int, base: int = 16, n: int | None = None) -> ZakFormulaReport:
+def check_zak_formulas(g: SampledFunction, alpha, m: int, base: int = 16) -> ZakFormulaReport:
     """Verify the closed-form Zak transforms of Fourier, dilation and chirp
     images against direct recomputation.
 
     ``alpha = p/q`` drives the dilation grids (nx_g = q * base and
     nw_g = p * base for the source, transposed for the image); the chirp
-    and Fourier checks run on an n-by-n grid (default min(S, 64)).
+    and Fourier checks share one n-by-n grid, n = min(S, 64).
     """
     alpha = as_fraction(alpha)
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    nn = n if n is not None else min(g.samples_per_unit, 64)
+    n = min(g.samples_per_unit, 64)
+    Z = zak_transform(g, n, n)
     return ZakFormulaReport(
-        dev_fourier=fourier_identity_dev(g, nn),
+        dev_fourier=fourier_identity_dev(g, Z),
         dev_dilation=_dilation_formula_dev(g, alpha, base),
-        dev_chirp=_chirp_formula_dev(g, m, nn),
+        dev_chirp=_chirp_formula_dev(g, Z, m),
         alpha=alpha,
         chirp_m=m,
     )

@@ -214,15 +214,14 @@ def _box_sums(prefix: np.ndarray, sx: int, sy: int) -> np.ndarray:
     )
 
 
-def _size_osc(window: np.ndarray, prefix: np.ndarray, sx: int, sy: int, stride: int = 1) -> np.ndarray:
-    """Oscillation of every strided sx-by-sy cube of a window with prefix sums."""
-    return _kernels.osc_scan(window, _box_sums(prefix, sx, sy) / (sx * sy), sx, sy, stride)
-
-
-def _osc_arrays(W: np.ndarray, sides) -> dict:
-    """(sx, sy) -> per-anchor oscillation array, for every (side, sx, sy) of sides."""
+def _osc_arrays(W: np.ndarray, sides, stride: int = 1) -> dict:
+    """(sx, sy) -> oscillation of every strided sx-by-sy cube of W, for every
+    (side, sx, sy) of sides."""
     pre = _prefix(W)
-    return {(sx, sy): _size_osc(W, pre, sx, sy) for _, sx, sy in sides}
+    return {
+        (sx, sy): _kernels.osc_scan(W, _box_sums(pre, sx, sy) / (sx * sy), sx, sy, stride)
+        for _, sx, sy in sides
+    }
 
 
 def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.inf) -> float:
@@ -261,45 +260,37 @@ def _admissible_sides(field: ScalarField2D, ni: int, nj: int, eps: float):
     return out
 
 
-class _OscScan:
-    """Per-size oscillation maxima over all grid-aligned cubes in a window."""
-
-    def __init__(self, field: ScalarField2D, rect, eps: float, stride: int = 1):
-        self.i0, self.j0, ni, nj = _rect_window(field, rect)
-        self.field = field
-        self.stride = int(stride)
-        self.window = field.window(self.i0, self.j0, ni, nj)
-        self.sides = _admissible_sides(field, ni, nj, eps)
-        if not self.sides:
-            raise GridError(f"eps = {eps} admits no grid cube inside the window")
-        self.prefix = _prefix(self.window)
-        self._osc = {}
-
-    def osc_array(self, sx: int, sy: int) -> np.ndarray:
-        key = (sx, sy)
-        if key not in self._osc:
-            self._osc[key] = _size_osc(self.window, self.prefix, sx, sy, self.stride)
-        return self._osc[key]
-
-    def supremum(self, eps: float):
-        """(max oscillation, witness cube) over cubes with area < eps."""
+def _sup_profile(field: ScalarField2D, rect, eps_list, stride: int = 1) -> list:
+    """(S_eps, witness cube) for each eps: the largest oscillation over the
+    strided grid-aligned cubes in rect with area < eps, and the first cube
+    (side order, then C order) that attains it."""
+    stride = int(stride)
+    i0, j0, ni, nj = _rect_window(field, rect)
+    window = field.window(i0, j0, ni, nj)
+    sides = _admissible_sides(field, ni, nj, max(eps_list))
+    if not sides:
+        raise GridError(f"eps = {max(eps_list)} admits no grid cube inside the window")
+    osc = _osc_arrays(window, sides, stride)
+    out = []
+    for eps in eps_list:
         best, best_cube = 0.0, None
-        for side, sx, sy in self.sides:
+        for side, sx, sy in sides:
             if side * side >= eps:
                 continue
-            arr = self.osc_array(sx, sy)
+            arr = osc[(sx, sy)]
             idx = np.unravel_index(np.argmax(arr), arr.shape)
             val = float(arr[idx])
             if val > best or best_cube is None:
                 best = val
-                ci = self.i0 + idx[0] * self.stride
-                cj = self.j0 + idx[1] * self.stride
+                ci = i0 + idx[0] * stride
+                cj = j0 + idx[1] * stride
                 best_cube = Cube(
-                    self.field.x0 + (ci + sx / 2) * self.field.hx,
-                    self.field.w0 + (cj + sy / 2) * self.field.hw,
+                    field.x0 + (ci + sx / 2) * field.hx,
+                    field.w0 + (cj + sy / 2) * field.hw,
                     side,
                 )
-        return best, best_cube
+        out.append((best, best_cube))
+    return out
 
 
 def osc_supremum(F: ScalarField2D, U, eps: float, stride: int = 1) -> float:
@@ -309,7 +300,7 @@ def osc_supremum(F: ScalarField2D, U, eps: float, stride: int = 1) -> float:
     resolution, so the result is a deterministic lower bound for the true
     supremum (stride=1 is exhaustive).
     """
-    return _OscScan(F, U, eps, stride).supremum(eps)[0]
+    return _sup_profile(F, U, [eps], stride)[0][0]
 
 
 @dataclass
@@ -355,16 +346,12 @@ def vmo_decay_profile(
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    scan = _OscScan(F, U, max(eps_list), stride)
-    s_values, witnesses = [], []
-    for eps in eps_list:
-        val, cube = scan.supremum(eps)
-        s_values.append(val)
-        witnesses.append(cube)
+    profile = _sup_profile(F, U, eps_list, stride)
+    s_values = [val for val, _ in profile]
     monotone = all(b <= a * 1.05 + 1e-12 for a, b in zip(s_values, s_values[1:]))
     if s_values[-1] >= floor:
         return OscillationReport(
-            eps_list, s_values, "vmo-fail-witness", witnesses[-1], s_values[-1], floor, monotone
+            eps_list, s_values, "vmo-fail-witness", profile[-1][1], s_values[-1], floor, monotone
         )
     return OscillationReport(eps_list, s_values, "vmo-consistent", None, None, floor, monotone)
 

@@ -150,8 +150,9 @@ class ZakIdentityReport:
         }
 
 
-def check_zak_identities(f: SampledFunction, nx: int | None = None, nw: int | None = None) -> ZakIdentityReport:
-    """Measure the four Zak identities on the common node grid.
+def check_zak_identities(f: SampledFunction, Z: ZakGrid) -> ZakIdentityReport:
+    """Measure the four Zak identities on the node grid of ``Z``, the Zak
+    transform of ``f``.
 
     Identity (d) compares the Zak transform of the quadrature Fourier
     transform against the phase-twisted coordinate swap of Zf, so its
@@ -159,11 +160,9 @@ def check_zak_identities(f: SampledFunction, nx: int | None = None, nw: int | No
     rounding.  Requires nx == nw for the coordinate swap in (d).
     """
     s = f.samples_per_unit
-    n = nx if nx is not None else min(s, 64)
-    m = nw if nw is not None else n
+    n, m = Z.nx, Z.nw
     if n != m:
         raise GridError("identity (d) needs nx == nw (coordinate swap)")
-    Z = zak_transform(f, n, m)
     xg = np.arange(n) / n
     wg = np.arange(m) / m
 
@@ -192,13 +191,14 @@ def check_zak_identities(f: SampledFunction, nx: int | None = None, nw: int | No
         rhs = np.exp(2j * np.pi * (q * xg[:, None] - p * wg[None, :])) * Z.values
         dev_c = max(dev_c, float(np.max(np.abs(lhs - rhs))))
 
-    return ZakIdentityReport(dev_a, dev_b, dev_c, fourier_identity_dev(f, n))
+    return ZakIdentityReport(dev_a, dev_b, dev_c, fourier_identity_dev(f, Z))
 
 
-def fourier_identity_dev(f: SampledFunction, n: int) -> float:
+def fourier_identity_dev(f: SampledFunction, Z: ZakGrid) -> float:
     """Sup deviation of identity (d), Z fhat(x, w) = e^{2 pi i x w} Zf(-w, x),
-    on the n-by-n node grid; carries the Fourier quadrature error."""
-    Z = zak_transform(f, n, n)
+    on the n-by-n node grid of ``Z``, the Zak transform of ``f``; carries
+    the Fourier quadrature error."""
+    n = Z.nx
     Zh = zak_transform(fourier_transform(f), n, n).values
     ij = np.arange(n)
     swap = extended_values(Z, -ij[None, :], ij[:, None])  # Zf(-w_m, x_j) at [j, m]

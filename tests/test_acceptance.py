@@ -55,7 +55,7 @@ def test_c01_zak_unitarity():
 
 
 def test_c02_zak_identities(gauss64):
-    rep = check_zak_identities(gauss64, 64, 64)
+    rep = check_zak_identities(gauss64, zak_transform(gauss64, 64, 64))
     assert rep.dev_quasiperiod < 1e-8
     assert rep.dev_shift < 1e-8
     assert rep.dev_integer_shift < 1e-8
@@ -132,7 +132,7 @@ def test_c05_riesz_bounds(box64, gauss64):
 
 def test_c06_bounded_inequality_spot_check(gauss64, rng):
     rep = riesz_bounds(gauss64, LAT21, 64, 64)
-    A = zz_matrix(zak_transform(gauss64, 64, 64), LAT21).entries
+    A = zz_matrix(zak_transform(gauss64, 64, 64), LAT21)[:, :, : 64 // 2]
     P = 2
     for _ in range(64):
         i = rng.integers(A.shape[2])
@@ -149,7 +149,7 @@ def test_c07_invariance_pipeline(gauss64):
     box = sample_function("box", (0, 1), S)
     rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0, max_order=16)
     assert rep.max_residual < 1e-8
-    F = rep.f_field.entries[0, 0]
+    F = rep.f_field[0]
     w = np.arange(S) / S
     closed = np.where((np.arange(S) / S)[:, None] < 0.5, np.exp(-2j * np.pi * w)[None, :], 1.0)
     assert np.max(np.abs(F - closed)) < 1e-8
@@ -176,8 +176,7 @@ def test_c08_transfer_matrix_identities(rng):
     u = Fraction(1, 2)
     rep = invariance_solve(riesz_bounds(box, LAT11, S, S), u, 0)
     mres = m_matrix(rep.f_field, LAT11, 0)
-    Z = zak_transform(box, S, S)
-    assert fertig_residual(Z, LAT11, u, 0, mres) < 1e-10
+    assert fertig_residual(rep.riesz, u, 0, mres) < 1e-10
     assert mres.plain_conjugation_residual < 1e-10
     assert mres.conjugation_residual < 1e-10
 
@@ -195,7 +194,7 @@ def test_c08_transfer_matrix_identities(rng):
     assert res.plain_conjugation_residual < 1e-10
     assert res.det_periodicity < 1e-10
 
-    H = ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field.entries[0, 0], "periodic")
+    H = ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field[0], "periodic")
     assert product_relation_residual(H, u, 0, 2, 0, -1) < 1e-10
     assert divisibility_check(1, 1, 2, 0, -1) is False
     for m, n in ((1, 0), (2, -1), (0, 3)):

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from zakvmo import gabor, zak
+from zakvmo import gabor, metaplectic, zak
 from zakvmo.cli import main, write_csv
 
 
@@ -139,6 +139,41 @@ class TestSubcommands:
         cfg = write_config(tmp_path)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), "analyze"]) == 0
         assert calls == [(64, 64)]
+
+    @pytest.mark.parametrize(
+        "command, offsets",
+        [("analyze", [()]), ("invariance", [()]), ("demo", [(), (16, 0)])],
+        ids=["analyze", "invariance", "demo"],
+    )
+    def test_one_matrix_field_per_lattice_run(self, tmp_path, monkeypatch, command, offsets):
+        # the Riesz scan builds A; only demo's transfer identity adds the
+        # shifted field A(x - 1/2, w) on its 32-node grid
+        calls = []
+
+        def counted(Zg, lat, *shift, _real=gabor.zz_matrix):
+            calls.append(shift)
+            return _real(Zg, lat, *shift)
+
+        monkeypatch.setattr(gabor, "zz_matrix", counted)
+        cfg = write_config(tmp_path)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
+        assert calls == offsets
+
+    @pytest.mark.parametrize("command", ["zak", "metaplectic"])
+    def test_identity_checks_share_the_zak_grid(self, tmp_path, monkeypatch, command):
+        # zak: g, the shift, two integer shifts and fhat; metaplectic: g,
+        # fhat, the dilation pair and the chirp image
+        calls = []
+
+        def counted(f, nx, nw, _real=zak.zak_transform):
+            calls.append((nx, nw))
+            return _real(f, nx, nw)
+
+        for module in (zak, gabor, metaplectic):
+            monkeypatch.setattr(module, "zak_transform", counted)
+        cfg = write_config(tmp_path)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
+        assert len(calls) == 5
 
     def test_analyze_reports_non_riesz_density(self, tmp_path):
         # A = diag(1/2, 1) has density 2: the system cannot be a Riesz

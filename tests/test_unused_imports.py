@@ -1,4 +1,5 @@
-"""Every name a ``zakvmo`` module or a test file imports is used in it.
+"""Every name a ``zakvmo`` module, a test file or a ``perfbench`` script
+imports is used in it.
 
 No linter is a dependency, so this parses each source file with ``ast``
 and compares the names its imports bind with the names it reads.  The
@@ -12,7 +13,12 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "zakvmo"
-FILES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py"))
+BENCH = TESTS.parent / "perfbench"
+FILES = (
+    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    + sorted(TESTS.glob("*.py"))
+    + sorted(BENCH.glob("*.py"))
+)
 
 
 def unused_imports(source: str) -> list[str]:

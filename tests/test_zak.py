@@ -114,7 +114,7 @@ class TestIdentitiesAndUnitarity:
             assert abs(zak_l2_norm(Z) - f.norm()) < 1e-10
 
     def test_identity_report(self, gauss64):
-        rep = check_zak_identities(gauss64, 64, 64)
+        rep = check_zak_identities(gauss64, zak_transform(gauss64, 64, 64))
         assert rep.dev_quasiperiod < 1e-8
         assert rep.dev_shift < 1e-8
         assert rep.dev_integer_shift < 1e-8
@@ -122,4 +122,4 @@ class TestIdentitiesAndUnitarity:
 
     def test_identities_need_square_grid(self, gauss64):
         with pytest.raises(GridError):
-            check_zak_identities(gauss64, 64, 32)
+            check_zak_identities(gauss64, zak_transform(gauss64, 64, 32))
