@@ -1,10 +1,10 @@
 """Numerical toolkit for Zak-transform analysis of Gabor Riesz sequences on
-rational lattices: quasi-periodic grids, singular-value Riesz bounds,
-additional-shift invariance solvers, mean-oscillation (VMO) diagnostics,
-exact SL(2,Q) factorization with metaplectic transport, and
-uncertainty-product divergence sweeps."""
+rational lattices: the Zak transform as a quasi-periodic field,
+singular-value Riesz bounds, additional-shift invariance solvers,
+mean-oscillation (VMO) diagnostics, exact SL(2,Q) factorization with
+metaplectic transport, and uncertainty-product divergence sweeps."""
 
-from .core import GridError, SampledFunction, TFShift, fourier_transform, inner_product, sample_function, tf_shift
+from .core import GridError, SampledFunction, ScalarField2D, fourier_transform, inner_product, sample_function, tf_shift
 from .gabor import (
     InvarianceReport,
     RieszFailureError,
@@ -22,8 +22,8 @@ from .gabor import (
 from .metaplectic import MetaplecticChain, apply_generator, apply_metaplectic, check_zak_formulas, covariance_residual
 from .symplectic import GeneratorStep, RationalMatrix2, lattice_density, lattice_reduce, sl2_factorize
 from .uncertainty import DivergenceSweep, MomentSpec, feichtinger_norm_estimate, gagliardo_seminorm, uncertainty_product, weighted_moment
-from .vmo import Cube, OscillationReport, ScalarField2D, check_inequalities, mean, mean_function, mean_oscillation, osc_supremum, vmo_decay_profile
-from .zak import AliasingError, ZakGrid, check_zak_identities, inverse_zak, zak_extend, zak_transform
+from .vmo import Cube, OscillationReport, check_inequalities, mean, mean_function, mean_oscillation, osc_supremum, vmo_decay_profile
+from .zak import AliasingError, check_zak_identities, inverse_zak, zak_extend, zak_transform
 
 __version__ = "0.1.0"
 

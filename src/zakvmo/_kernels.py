@@ -1,8 +1,8 @@
 """Hot inner-loop kernels, vectorized in numpy.
 
-``osc_scan`` computes the mean oscillation of every strided cube of one
-size in a window; ``gagliardo_pairs`` sums the banded Gagliardo pair
-differences of a sampled function.  ``tests/test_kernels.py`` checks both
+``osc_scan`` computes the mean oscillation of every cube of one size in a
+window; ``gagliardo_pairs`` sums the banded Gagliardo pair differences of
+a sampled function.  ``tests/test_kernels.py`` checks both
 against plain-loop reference implementations.
 """
 
@@ -11,15 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 
-def osc_scan(window, means, sx, sy, stride):
-    """Mean of |window - means| over every sx-by-sy cube at the given stride."""
+def osc_scan(window, means, sx, sy):
+    """Mean of |window - means| over every sx-by-sy cube of the window."""
     na = window.shape[0] - sx + 1
     nb = window.shape[1] - sy + 1
-    out = np.zeros((len(range(0, na, stride)), len(range(0, nb, stride))))
-    mm = means[::stride, ::stride]
+    out = np.zeros((na, nb))
     for a in range(sx):
         for b in range(sy):
-            out += np.abs(window[a : a + na : stride, b : b + nb : stride] - mm)
+            out += np.abs(window[a : a + na, b : b + nb] - means)
     out /= sx * sy
     return out
 

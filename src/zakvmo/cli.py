@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import gabor, metaplectic, uncertainty, vmo, zak
-from .core import embed, sample_function, tf_shift
+from .core import ScalarField2D, embed, sample_function, tf_shift
 from .symplectic import (
     RationalMatrix2,
     format_fraction,
@@ -232,9 +232,8 @@ def cmd_invariance(cfg: dict, args) -> int:
 def cmd_vmo(cfg: dict, args) -> int:
     g = build_generator(cfg)
     Z = zak.zak_transform(g, int(cfg["nx"]), int(cfg["nw"]))
-    F = vmo.field_from_zak(Z)
     rep = vmo.vmo_decay_profile(
-        F, tuple(cfg["window"]), list(cfg["eps_list"]), float(cfg["vmo_floor"])
+        Z, tuple(cfg["window"]), list(cfg["eps_list"]), float(cfg["vmo_floor"])
     )
     h = config_hash(cfg)
     write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (rep.eps_list, rep.s_values))
@@ -257,7 +256,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     inv_rep = gabor.invariance_solve(riesz_rep, u, eta, float(cfg["tol"]))
     write_report(_out(args, "invariance.json"), inv_rep, h)
     prof = vmo.vmo_decay_profile(
-        vmo.field_from_zak(riesz_rep.zak), tuple(cfg["window"]), list(cfg["eps_list"]),
+        riesz_rep.zak, tuple(cfg["window"]), list(cfg["eps_list"]),
         float(cfg["vmo_floor"]),
     )
     write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (prof.eps_list, prof.s_values))
@@ -355,15 +354,14 @@ def cmd_demo(cfg: dict, args) -> int:
     fr = gabor.fertig_residual(riesz_rep, u, 0, mres)
     print(f"transfer-matrix identity residual = {fr:.2e}")
     prod = gabor.product_relation_residual(
-        vmo.ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field[0], "periodic"),
+        ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field[0], "periodic"),
         u, 0, 2, 0, -1,
     )
     print(f"2-step product equals exp(-2 pi i w): residual = {prod:.2e}")
     ok = gabor.divisibility_check(1, 1, 2, 0, -1)
     print(f"divisibility certificate for (M1, M2) = (0, -1): {ok} "
           f"(the failed certificate is the obstruction: (1/2, 0) is not a lattice point)")
-    F = vmo.field_from_zak(riesz_rep.zak)
-    prof = vmo.vmo_decay_profile(F, (0.75, 1.25, 0.0, 1.0), [1 / 16, 1 / 64], floor=0.1)
+    prof = vmo.vmo_decay_profile(riesz_rep.zak, (0.75, 1.25, 0.0, 1.0), [1 / 16, 1 / 64], floor=0.1)
     print(f"oscillation near the support jump: S = {prof.s_values} -> {prof.verdict}")
     if args.out:
         write_json(
@@ -458,6 +456,8 @@ def cmd_proptest(cfg: dict, args) -> int:
         print(f"unknown suite {args.suite!r}; choose from {sorted(PROPTEST_SUITES)}",
               file=sys.stderr)
         return EXIT_CONFIG
+    if args.cases < 1:
+        raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     print(f"suite {args.suite} (seed={args.seed}, cases={args.cases})")
     ok = suite(args.seed, args.cases)
     print("PASS" if ok else "FAIL")

@@ -70,12 +70,70 @@ class SampledFunction:
         return math.sqrt(max(inner_product(self, self).real, 0.0))
 
 
-@dataclass(frozen=True)
-class TFShift:
-    """Time-frequency shift parameters (u, eta) for pi(u, eta)."""
+@dataclass(eq=False)
+class ScalarField2D:
+    """Complex values on the node grid (x0 + i*hx, w0 + j*hw).
 
-    u: float
-    eta: float
+    ``extension`` controls reads outside the stored rectangle: ``"none"``
+    raises, ``"periodic"`` tiles by the rectangle, ``"quasiperiodic"``
+    applies F(x + m, w) = exp(2 pi i m w) F(x, w) and 1-periodicity in w
+    (stored rectangle must be the unit square).  ``omega_modes`` marks rows
+    as trigonometric polynomials sum_{k in [k0,k1)} c_k e^{-2 pi i k w}.
+    The Zak transform is such a field: quasi-periodic on the unit square,
+    with the support cells of its source as the omega modes.
+    """
+
+    x0: float
+    w0: float
+    hx: float
+    hw: float
+    values: np.ndarray
+    extension: str = "none"
+    omega_modes: tuple[int, int] | None = None
+
+    def __post_init__(self):
+        self.values = np.asarray(self.values, dtype=np.complex128)
+        if self.values.ndim != 2:
+            raise ValueError("field values must be a 2-D array")
+        if self.extension not in ("none", "periodic", "quasiperiodic"):
+            raise ValueError(f"unknown extension {self.extension!r}")
+        if self.extension == "quasiperiodic":
+            nx, nw = self.values.shape
+            if (
+                abs(self.x0) > 1e-12
+                or abs(self.w0) > 1e-12
+                or abs(nx * self.hx - 1.0) > 1e-9
+                or abs(nw * self.hw - 1.0) > 1e-9
+            ):
+                raise ValueError("quasiperiodic extension requires the unit square")
+
+    @property
+    def nx(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def nw(self) -> int:
+        return self.values.shape[1]
+
+    def at(self, ix, iw) -> np.ndarray:
+        """Values at the global node indices (ix, iw), broadcast against each
+        other, read through the extension; the one place it is applied."""
+        ix = np.asarray(ix, dtype=np.int64)
+        iw = np.asarray(iw, dtype=np.int64)
+        nx, nw = self.values.shape
+        if self.extension == "none":
+            if np.any(ix < 0) or np.any(ix >= nx) or np.any(iw < 0) or np.any(iw >= nw):
+                raise GridError("read outside field domain (extension='none')")
+            return self.values[ix, iw]
+        mm = np.mod(iw, nw)
+        if self.extension == "periodic":
+            return self.values[np.mod(ix, nx), mm]
+        wrap = ix // nx
+        return np.exp(2j * np.pi * (wrap * (mm / nw))) * self.values[ix - wrap * nx, mm]
+
+    def window(self, i0: int, j0: int, ni: int, nj: int) -> np.ndarray:
+        """Values for the global index ranges [i0,i0+ni) x [j0,j0+nj)."""
+        return self.at(np.arange(i0, i0 + ni)[:, None], np.arange(j0, j0 + nj)[None, :])
 
 
 def sample_function(recipe, support, samples_per_unit: int) -> SampledFunction:
@@ -162,7 +220,7 @@ def tf_shift(f: SampledFunction, shift) -> SampledFunction:
     extended to the integer hull of the shifted support.  The frequency
     shift eta is an exact pointwise modulation for any real eta.
     """
-    u, eta = (shift.u, shift.eta) if isinstance(shift, TFShift) else shift
+    u, eta = shift
     s = f.samples_per_unit
     du = _as_int(float(u) * s, "u * samples_per_unit")
     j0 = f.j_min + du

@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GridError, SampledFunction, embed, tf_shift
+from .core import GridError, SampledFunction, ScalarField2D, embed, tf_shift
 from .symplectic import as_fraction
-from .zak import ZakGrid, node_index, rolled, zak_transform
+from .zak import node_index, rolled, zak_transform
 
 
 class RieszFailureError(RuntimeError):
@@ -54,7 +54,7 @@ class SeparableLattice:
             raise ValueError(f"P={self.P} and Q={self.Q} must be coprime here")
 
 
-def zz_matrix(Zg: ZakGrid, lat: SeparableLattice, du: int = 0, de: int = 0) -> np.ndarray:
+def zz_matrix(Zg: ScalarField2D, lat: SeparableLattice, du: int = 0, de: int = 0) -> np.ndarray:
     """A(x - du/nx, w - de/nw) at every node of [0,1)^2, from quasi-periodically
     extended Zak samples; shape (P, Q, nx, nw).
 
@@ -100,7 +100,7 @@ class RieszReport:
     P: int
     Q: int
     zak_sup: float
-    zak: ZakGrid
+    zak: ScalarField2D
     field: np.ndarray
 
     def as_dict(self) -> dict:
@@ -494,8 +494,8 @@ def product_relation_residual(H, u, eta, N: int, M1: int, M2: int) -> float:
     """Sup-norm residual of prod_n H(x + n u, w + n eta) = e^{2 pi i (M1 x + M2 w)}.
 
     ``H`` is a periodic or quasi-periodic ScalarField2D on the unit square
-    (a Zak grid enters as ``vmo.field_from_zak``); N u and N eta must be
-    integers and the shifts must land on nodes.
+    (a Zak transform enters as it is); N u and N eta must be integers and
+    the shifts must land on nodes.
     """
     u, eta = as_fraction(u), as_fraction(eta)
     if (N * u).denominator != 1 or (N * eta).denominator != 1:

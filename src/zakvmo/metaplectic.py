@@ -30,13 +30,14 @@ import numpy as np
 from .core import (
     GridError,
     SampledFunction,
+    ScalarField2D,
     embed,
     fourier_transform,
     inner_product,
     tf_shift,
 )
 from .symplectic import GeneratorStep, RationalMatrix2, as_fraction, sl2_factorize, steps_matrix
-from .zak import ZakGrid, extended_values, fourier_identity_dev, zak_transform
+from .zak import fourier_identity_dev, zak_transform
 
 
 def apply_dilation(f: SampledFunction, mu) -> SampledFunction:
@@ -127,27 +128,24 @@ def minimal_sample_multiple(steps) -> int:
     return L
 
 
-def apply_metaplectic(chain, f: SampledFunction) -> SampledFunction:
-    """Apply a chain (or bare step list) sequentially."""
-    steps = chain.steps if isinstance(chain, MetaplecticChain) else chain
+def apply_metaplectic(chain: MetaplecticChain, f: SampledFunction) -> SampledFunction:
+    """Apply the steps of a chain sequentially."""
     out = f
-    for st in steps:
+    for st in chain.steps:
         out = apply_generator(st, out)
     return out
 
 
-def covariance_residual(chain, lam, f: SampledFunction) -> float:
+def covariance_residual(chain: MetaplecticChain, lam, f: SampledFunction) -> float:
     """1 - |<U pi(lam) f, pi(S lam) U f>| / ||f||^2 (phase-blind).
 
     Zero up to quadrature error exactly when the covariance relation holds
     modulo the permitted unimodular constant.
     """
-    steps = chain.steps if isinstance(chain, MetaplecticChain) else tuple(chain)
-    S = chain.source if isinstance(chain, MetaplecticChain) else steps_matrix(steps)
     u, eta = as_fraction(lam[0]), as_fraction(lam[1])
-    u2, e2 = S.apply((u, eta))
-    left = apply_metaplectic(steps, tf_shift(f, (float(u), float(eta))))
-    right = tf_shift(apply_metaplectic(steps, f), (float(u2), float(e2)))
+    u2, e2 = chain.source.apply((u, eta))
+    left = apply_metaplectic(chain, tf_shift(f, (float(u), float(eta))))
+    right = tf_shift(apply_metaplectic(chain, f), (float(u2), float(e2)))
     return 1.0 - abs(inner_product(left, right)) / f.norm() ** 2
 
 
@@ -215,20 +213,19 @@ def _dilation_formula_dev(g: SampledFunction, alpha: Fraction, base: int) -> flo
         phase = np.exp(-2j * np.pi * ell * jw / nw_d)
         for r in range(pa):
             iw = sign * jw - r * base
-            acc += phase[None, :] * extended_values(Z, ix[:, None], iw[None, :])
+            acc += phase[None, :] * Z.at(ix[:, None], iw[None, :])
     acc /= math.sqrt(pa * q)
     return float(np.max(np.abs(Zd - acc)))
 
 
-def _chirp_formula_dev(g: SampledFunction, Z: ZakGrid, m: int) -> float:
+def _chirp_formula_dev(g: SampledFunction, Z: ScalarField2D, m: int) -> float:
     # Z(C_m g)(x, w) = e^{2 pi i m x^2} Zg(x, w - 2 m x) on the n-by-n grid of Z
     n = Z.nx
     Zc = zak_transform(apply_chirp(g, m), n, n).values
     j = np.arange(n)
     iw = j[None, :] - 2 * m * j[:, None]
-    vals = extended_values(Z, j[:, None] + 0 * iw, iw)
     x = j / n
-    rhs = np.exp(2j * np.pi * m * x * x)[:, None] * vals
+    rhs = np.exp(2j * np.pi * m * x * x)[:, None] * Z.at(j[:, None], iw)
     return float(np.max(np.abs(Zc - rhs)))
 
 

@@ -9,9 +9,10 @@ products, inverses, affine pullbacks and C^1 multipliers.
 Grid conventions: fields live on uniform node grids; cubes are closed
 squares with grid-aligned corners, and a cube of side s*h covers exactly
 the s cells whose left endpoints lie inside it, so means are left-endpoint
-cell averages (exact for fields that are constant per cell).  Fields
-derived from a Zak grid carry their omega band structure, and cube means
-then integrate the omega direction exactly as trigonometric polynomials;
+cell averages (exact for fields that are constant per cell).  The Zak
+transform (``zak.zak_transform``) carries its omega band structure, and
+:func:`mean` then integrates the omega direction exactly as trigonometric
+polynomials; oscillations always subtract the cell average.
 essinf/esssup on sampled fields are node minima/maxima and are flagged as
 grid-level proxies in reports.
 """
@@ -24,75 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import GridError
-from .zak import ZakGrid
-
-
-@dataclass(eq=False)
-class ScalarField2D:
-    """Complex values on the node grid (x0 + i*hx, w0 + j*hw).
-
-    ``extension`` controls reads outside the stored rectangle: ``"none"``
-    raises, ``"periodic"`` tiles by the rectangle, ``"quasiperiodic"``
-    applies F(x + m, w) = exp(2 pi i m w) F(x, w) and 1-periodicity in w
-    (stored rectangle must be the unit square).  ``omega_modes`` marks rows
-    as trigonometric polynomials sum_{k in [k0,k1)} c_k e^{-2 pi i k w}.
-    """
-
-    x0: float
-    w0: float
-    hx: float
-    hw: float
-    values: np.ndarray
-    extension: str = "none"
-    omega_modes: tuple[int, int] | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.ndim != 2:
-            raise ValueError("field values must be a 2-D array")
-        if self.extension not in ("none", "periodic", "quasiperiodic"):
-            raise ValueError(f"unknown extension {self.extension!r}")
-        if self.extension == "quasiperiodic":
-            nx, nw = self.values.shape
-            if (
-                abs(self.x0) > 1e-12
-                or abs(self.w0) > 1e-12
-                or abs(nx * self.hx - 1.0) > 1e-9
-                or abs(nw * self.hw - 1.0) > 1e-9
-            ):
-                raise ValueError("quasiperiodic extension requires the unit square")
-
-    @property
-    def nx(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def nw(self) -> int:
-        return self.values.shape[1]
-
-    def window(self, i0: int, j0: int, ni: int, nj: int) -> np.ndarray:
-        """Extended values for global index ranges [i0,i0+ni) x [j0,j0+nj)."""
-        nx, nw = self.values.shape
-        ii = np.arange(i0, i0 + ni)
-        jj = np.arange(j0, j0 + nj)
-        if self.extension == "none":
-            if i0 < 0 or j0 < 0 or i0 + ni > nx or j0 + nj > nw:
-                raise GridError("window outside field domain (extension='none')")
-            return self.values[i0 : i0 + ni, j0 : j0 + nj]
-        jm = np.mod(jj, nw)
-        if self.extension == "periodic":
-            return self.values[np.mod(ii, nx)][:, jm]
-        wrap = ii // nx
-        base = self.values[ii - wrap * nx][:, jm]
-        return np.exp(2j * np.pi * np.outer(wrap, jm / nw)) * base
-
-
-def field_from_zak(Z: ZakGrid) -> ScalarField2D:
-    """View a Zak grid as a quasi-periodic field on the unit square."""
-    return ScalarField2D(
-        0.0, 0.0, 1.0 / Z.nx, 1.0 / Z.nw, Z.values, "quasiperiodic", Z.source_cells
-    )
+from .core import GridError, ScalarField2D
 
 
 def field_from_function(fn, rect, nx: int, nw: int, extension: str = "none") -> ScalarField2D:
@@ -182,10 +115,10 @@ def mean(F: ScalarField2D, cube: Cube) -> complex:
 
 
 def mean_oscillation(F: ScalarField2D, cube: Cube) -> float:
-    """M_Q(F): cube average of |F - F_Q|."""
+    """M_Q(F): cube average of |F - F_Q|, with F_Q the cell average that the
+    oscillation sweep subtracts (not the exact omega mean of :func:`mean`)."""
     i0, j0, sx, sy = _cube_indices(F, cube)
-    mu = mean(F, cube)
-    return float(np.mean(np.abs(F.window(i0, j0, sx, sy) - mu)))
+    return _block_stats(F.window(i0, j0, sx, sy), 0, 0, sx, sy)[1]
 
 
 def _rect_window(field: ScalarField2D, rect):
@@ -214,12 +147,12 @@ def _box_sums(prefix: np.ndarray, sx: int, sy: int) -> np.ndarray:
     )
 
 
-def _osc_arrays(W: np.ndarray, sides, stride: int = 1) -> dict:
-    """(sx, sy) -> oscillation of every strided sx-by-sy cube of W, for every
+def _osc_arrays(W: np.ndarray, sides) -> dict:
+    """(sx, sy) -> oscillation of every sx-by-sy cube of W, for every
     (side, sx, sy) of sides."""
     pre = _prefix(W)
     return {
-        (sx, sy): _kernels.osc_scan(W, _box_sums(pre, sx, sy) / (sx * sy), sx, sy, stride)
+        (sx, sy): _kernels.osc_scan(W, _box_sums(pre, sx, sy) / (sx * sy), sx, sy)
         for _, sx, sy in sides
     }
 
@@ -260,17 +193,16 @@ def _admissible_sides(field: ScalarField2D, ni: int, nj: int, eps: float):
     return out
 
 
-def _sup_profile(field: ScalarField2D, rect, eps_list, stride: int = 1) -> list:
+def _sup_profile(field: ScalarField2D, rect, eps_list) -> list:
     """(S_eps, witness cube) for each eps: the largest oscillation over the
-    strided grid-aligned cubes in rect with area < eps, and the first cube
-    (side order, then C order) that attains it."""
-    stride = int(stride)
+    grid-aligned cubes in rect with area < eps, and the first cube (side
+    order, then C order) that attains it."""
     i0, j0, ni, nj = _rect_window(field, rect)
     window = field.window(i0, j0, ni, nj)
     sides = _admissible_sides(field, ni, nj, max(eps_list))
     if not sides:
         raise GridError(f"eps = {max(eps_list)} admits no grid cube inside the window")
-    osc = _osc_arrays(window, sides, stride)
+    osc = _osc_arrays(window, sides)
     out = []
     for eps in eps_list:
         best, best_cube = 0.0, None
@@ -282,25 +214,22 @@ def _sup_profile(field: ScalarField2D, rect, eps_list, stride: int = 1) -> list:
             val = float(arr[idx])
             if val > best or best_cube is None:
                 best = val
-                ci = i0 + idx[0] * stride
-                cj = j0 + idx[1] * stride
                 best_cube = Cube(
-                    field.x0 + (ci + sx / 2) * field.hx,
-                    field.w0 + (cj + sy / 2) * field.hw,
+                    field.x0 + (i0 + idx[0] + sx / 2) * field.hx,
+                    field.w0 + (j0 + idx[1] + sy / 2) * field.hw,
                     side,
                 )
         out.append((best, best_cube))
     return out
 
 
-def osc_supremum(F: ScalarField2D, U, eps: float, stride: int = 1) -> float:
+def osc_supremum(F: ScalarField2D, U, eps: float) -> float:
     """S_{eps,U}(F): max of M_Q over grid-aligned cubes Q in U, |Q| < eps.
 
-    The cube family is the exhaustive strided enumeration at grid
-    resolution, so the result is a deterministic lower bound for the true
-    supremum (stride=1 is exhaustive).
+    The cube family is the exhaustive enumeration at grid resolution, so
+    the result is a deterministic lower bound for the true supremum.
     """
-    return _sup_profile(F, U, [eps], stride)[0][0]
+    return _sup_profile(F, U, [eps])[0][0]
 
 
 @dataclass
@@ -334,9 +263,7 @@ class OscillationReport:
         return d
 
 
-def vmo_decay_profile(
-    F: ScalarField2D, U, eps_list, floor: float = 0.1, stride: int = 1
-) -> OscillationReport:
+def vmo_decay_profile(F: ScalarField2D, U, eps_list, floor: float = 0.1) -> OscillationReport:
     """Sweep S_{eps,U}(F) over decreasing eps and classify the tail.
 
     Verdict is ``vmo-fail-witness`` when the smallest-eps value stays at or
@@ -346,7 +273,7 @@ def vmo_decay_profile(
     eps_list = list(eps_list)
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    profile = _sup_profile(F, U, eps_list, stride)
+    profile = _sup_profile(F, U, eps_list)
     s_values = [val for val, _ in profile]
     monotone = all(b <= a * 1.05 + 1e-12 for a, b in zip(s_values, s_values[1:]))
     if s_values[-1] >= floor:

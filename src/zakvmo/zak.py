@@ -7,8 +7,9 @@ For a sampled function f the transform is the finite sum
 evaluated at nodes (j/nx, m/nw) with no endpoint duplication.  Because the
 sum over support cells is finite, the node values are exact for the sampled
 data.  Values off the fundamental domain follow from the quasi-periodic
-extension Zf(x + m, w + n) = exp(2 pi i m w) Zf(x, w); phases are computed
-on demand, never stored.
+extension Zf(x + m, w + n) = exp(2 pi i m w) Zf(x, w); the transform is a
+quasi-periodic ``core.ScalarField2D``, whose ``at`` computes the phases on
+demand, never storing them.
 """
 
 from __future__ import annotations
@@ -18,34 +19,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GridError, SampledFunction, fourier_transform, tf_shift
+from .core import GridError, SampledFunction, ScalarField2D, fourier_transform, tf_shift
 
 
 class AliasingError(ValueError):
     """The omega grid is too coarse for the function's support cells."""
 
 
-@dataclass(eq=False)
-class ZakGrid:
-    """Zak values on the nx-by-nw node grid of [0,1)^2.
-
-    ``source_cells`` records the integer support [k_min, k_max) of the
-    originating function: each x-row of ``values`` is then exactly the
-    trigonometric polynomial sum_k f(x+k) e^{-2 pi i k w} with k confined to
-    that interval, which downstream consumers exploit for exact
-    omega-integration.
-    """
-
-    nx: int
-    nw: int
-    values: np.ndarray
-    source_S: int
-    source_cells: tuple[int, int] | None = None
-
-
-def zak_transform(f: SampledFunction, nx: int, nw: int) -> ZakGrid:
+def zak_transform(f: SampledFunction, nx: int, nw: int) -> ScalarField2D:
     """Evaluate the Zak transform of ``f`` at the (j/nx, m/nw) nodes.
 
+    Returns the quasi-periodic field on the unit square whose omega modes
+    are the support cells [k_min, k_max) of ``f``: each x-row is exactly the
+    trigonometric polynomial sum_k f(x+k) e^{-2 pi i k w} with k confined to
+    that interval, which the cube means of ``vmo`` integrate exactly.
     Requires nx to divide f.samples_per_unit (so the x-nodes are sample
     nodes) and nw >= number of support cells (so the omega direction is
     alias-free and the transform is unitary / invertible).
@@ -59,7 +46,9 @@ def zak_transform(f: SampledFunction, nx: int, nw: int) -> ZakGrid:
     seq = f.values.reshape(f.n_cells, s)[:, ::step].T  # (nx, n_cells)
     kvec = np.arange(f.k_min, f.k_max)
     phases = np.exp(-2j * np.pi * np.outer(kvec, np.arange(nw) / nw))
-    return ZakGrid(nx, nw, seq @ phases, s, (f.k_min, f.k_max))
+    return ScalarField2D(
+        0.0, 0.0, 1.0 / nx, 1.0 / nw, seq @ phases, "quasiperiodic", (f.k_min, f.k_max)
+    )
 
 
 def node_index(val, n: int, what: str) -> int:
@@ -76,41 +65,22 @@ def node_index(val, n: int, what: str) -> int:
     return int(r)
 
 
-def extended_values(Z: ZakGrid, ix, iw) -> np.ndarray:
-    """Quasi-periodically extended values at integer node indices.
-
-    ``ix`` and ``iw`` are (broadcastable) arrays of global node indices,
-    addressing the points (ix / nx, iw / nw) anywhere in the plane.
-    """
-    ix = np.asarray(ix, dtype=np.int64)
-    iw = np.asarray(iw, dtype=np.int64)
-    wrap = ix // Z.nx
-    jm = ix - wrap * Z.nx
-    mm = np.mod(iw, Z.nw)
-    phase = np.exp(2j * np.pi * wrap * (mm / Z.nw))
-    return phase * Z.values[jm, mm]
-
-
-def zak_extend(Z: ZakGrid, x, w) -> complex:
+def zak_extend(Z: ScalarField2D, x, w) -> complex:
     """Evaluate the quasi-periodic extension at a single node (x, w).
 
     Both coordinates must lie on grid nodes modulo 1 (pass Fractions for
     exact queries); off-node queries raise GridError rather than
     interpolating.
     """
-    ix = node_index(x, Z.nx, "x")
-    iw = node_index(w, Z.nw, "w")
-    return complex(extended_values(Z, np.array(ix), np.array(iw)))
+    return complex(Z.at(node_index(x, Z.nx, "x"), node_index(w, Z.nw, "w")))
 
 
-def rolled(Z: ZakGrid, dj: int, dm: int) -> np.ndarray:
+def rolled(Z: ScalarField2D, dj: int, dm: int) -> np.ndarray:
     """Full-grid values of Zf(x - dj/nx, w - dm/nw) with extension phases."""
-    ix = (np.arange(Z.nx) - dj)[:, None]
-    iw = (np.arange(Z.nw) - dm)[None, :]
-    return extended_values(Z, ix, iw)
+    return Z.window(-dj, -dm, Z.nx, Z.nw)
 
 
-def inverse_zak(Z: ZakGrid, support) -> SampledFunction:
+def inverse_zak(Z: ScalarField2D, support) -> SampledFunction:
     """Recover samples from Zak values via discrete Fourier coefficients.
 
     The value at x + k is read off as the k-th inverse coefficient
@@ -127,7 +97,7 @@ def inverse_zak(Z: ZakGrid, support) -> SampledFunction:
     return SampledFunction(Z.nx, k0, k1, cells.T.reshape(-1))
 
 
-def zak_l2_norm(Z: ZakGrid) -> float:
+def zak_l2_norm(Z: ScalarField2D) -> float:
     """Rectangle-rule L2([0,1]^2) norm of the grid values."""
     return float(np.sqrt(np.mean(np.abs(Z.values) ** 2)))
 
@@ -150,7 +120,7 @@ class ZakIdentityReport:
         }
 
 
-def check_zak_identities(f: SampledFunction, Z: ZakGrid) -> ZakIdentityReport:
+def check_zak_identities(f: SampledFunction, Z: ScalarField2D) -> ZakIdentityReport:
     """Measure the four Zak identities on the node grid of ``Z``, the Zak
     transform of ``f``.
 
@@ -194,14 +164,14 @@ def check_zak_identities(f: SampledFunction, Z: ZakGrid) -> ZakIdentityReport:
     return ZakIdentityReport(dev_a, dev_b, dev_c, fourier_identity_dev(f, Z))
 
 
-def fourier_identity_dev(f: SampledFunction, Z: ZakGrid) -> float:
+def fourier_identity_dev(f: SampledFunction, Z: ScalarField2D) -> float:
     """Sup deviation of identity (d), Z fhat(x, w) = e^{2 pi i x w} Zf(-w, x),
     on the n-by-n node grid of ``Z``, the Zak transform of ``f``; carries
     the Fourier quadrature error."""
     n = Z.nx
     Zh = zak_transform(fourier_transform(f), n, n).values
     ij = np.arange(n)
-    swap = extended_values(Z, -ij[None, :], ij[:, None])  # Zf(-w_m, x_j) at [j, m]
+    swap = Z.at(-ij[None, :], ij[:, None])  # Zf(-w_m, x_j) at [j, m]
     rhs = np.exp(2j * np.pi * np.outer(ij / n, ij / n)) * swap
     return float(np.max(np.abs(Zh - rhs)))
 

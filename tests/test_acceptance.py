@@ -34,7 +34,8 @@ from zakvmo.metaplectic import (
 )
 from zakvmo.symplectic import RationalMatrix2, lattice_reduce, random_sl2, sl2_factorize, steps_matrix
 from zakvmo.uncertainty import feichtinger_norm_estimate, gagliardo_seminorm, uncertainty_product, weighted_moment
-from zakvmo.vmo import ScalarField2D, check_inequalities, field_from_zak, mean, mean_function, mean_oscillation, random_trig_field, remark_cube, vmo_decay_profile
+from zakvmo.core import ScalarField2D
+from zakvmo.vmo import check_inequalities, mean, mean_function, mean_oscillation, random_trig_field, remark_cube, vmo_decay_profile
 from zakvmo.zak import check_zak_identities, zak_l2_norm, zak_transform
 
 LAT11 = SeparableLattice(1, 1)
@@ -69,7 +70,7 @@ def test_c02_zak_identities(gauss64):
 
 def test_c03_oscillation_witness(box_sine64):
     f = sample_function("box_sine", (0, 1), 2048)
-    F = field_from_zak(zak_transform(f, 2048, 64))
+    F = zak_transform(f, 2048, 64)
     cube = remark_cube(3, 0.25)
     mu = mean(F, cube)
     target = np.sinc(1 / 8) * np.sinc(3 / 4)
@@ -77,7 +78,7 @@ def test_c03_oscillation_witness(box_sine64):
     mq = mean_oscillation(F, cube)
     assert mq >= 1 / math.pi - 1e-3
     # the same field on a bounded small-k window has a decaying profile
-    F64 = field_from_zak(zak_transform(box_sine64, 64, 64))
+    F64 = zak_transform(box_sine64, 64, 64)
     eps = [(1 / 4) ** 2 * 1.01, (1 / 8) ** 2 * 1.01, (1 / 16) ** 2 * 1.01, (1 / 32) ** 2 * 1.01]
     rep = vmo_decay_profile(F64, (0.0, 1.0, 0.0, 1.0), eps)
     assert rep.verdict == "vmo-consistent"

@@ -257,6 +257,14 @@ class TestExitCodes:
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("cases", ["0", "-1"])
+    def test_proptest_without_cases(self, tmp_path, capsys, cases):
+        # a suite that checks nothing must not report PASS
+        assert main(["--out", str(tmp_path), "proptest", "sl2-factorize", "--cases", cases]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "PASS" not in captured.out
+
     def test_zak_unequal_grid_writes_nothing(self, tmp_path):
         # identity (d) needs nx == nw; the check runs before any file is written
         cfg = write_config(tmp_path, nw=32)

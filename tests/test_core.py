@@ -7,7 +7,6 @@ from conftest import l2_distance
 from zakvmo.core import (
     GridError,
     SampledFunction,
-    TFShift,
     embed,
     fourier_transform,
     inner_product,
@@ -104,7 +103,7 @@ class TestTFShift:
         for _ in range(16):
             u = rng.integers(-128, 129) / 64
             eta = rng.standard_normal()
-            out = tf_shift(gauss64, TFShift(u, eta))
+            out = tf_shift(gauss64, (u, eta))
             assert out.norm() == pytest.approx(gauss64.norm(), abs=1e-12)
 
     def test_commutation_phase(self, gauss64, rng):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import l2_distance
-from zakvmo.core import GridError, sample_function, tf_shift
+from zakvmo.core import GridError, ScalarField2D, sample_function, tf_shift
 from zakvmo.gabor import (
     RieszFailureError,
     SeparableLattice,
@@ -22,8 +22,7 @@ from zakvmo.gabor import (
     shift_matrix,
     zz_matrix,
 )
-from zakvmo.vmo import ScalarField2D, field_from_zak
-from zakvmo.zak import extended_values, rolled, zak_transform
+from zakvmo.zak import rolled, zak_transform
 
 LAT11 = SeparableLattice(1, 1)
 LAT21 = SeparableLattice(2, 1)
@@ -335,7 +334,7 @@ class TestProductRelation:
         # extension reads H(x + n, w) = e^{2 pi i n w}: three steps of u = 1
         # multiply to e^{2 pi i 3 w}, which a periodic read misses
         S = 32
-        H = field_from_zak(zak_transform(sample_function("box", (0, 1), S), S, S))
+        H = zak_transform(sample_function("box", (0, 1), S), S, S)
         assert product_relation_residual(H, 1, 0, 3, 0, 3) < 1e-12
         periodic = ScalarField2D(0, 0, 1 / S, 1 / S, H.values, "periodic")
         assert product_relation_residual(periodic, 1, 0, 3, 0, 3) > 1.9
@@ -374,9 +373,7 @@ class TestTelescoping:
         prod = np.ones_like(M)
         for n in range(1, N + 1):
             prod = np.roll(np.roll(M, -n * du, axis=0), 0, axis=1) * prod
-        A_shift = extended_values(
-            Z, (np.arange(S) + N * du)[:, None], np.arange(S)[None, :]
-        )
+        A_shift = Z.at((np.arange(S) + N * du)[:, None], np.arange(S)[None, :])
         x = np.arange(S) / S
         phase = np.exp(2j * np.pi * float(eta) * (N * x + N * (N - 1) * float(u) / 2))
         rhs = phase[:, None] * A_shift * prod

@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from zakvmo.core import GridError, sample_function
+from zakvmo.core import GridError, ScalarField2D, sample_function
 from zakvmo.vmo import (
     Cube,
-    ScalarField2D,
     check_inequalities,
     field_from_function,
-    field_from_zak,
     mean,
     mean_function,
     mean_oscillation,
@@ -53,7 +51,7 @@ class TestMean:
         # Z(box_sine) is exactly band-limited in omega, so the omega
         # integral is exact; the x direction needs a fine grid
         f = sample_function("box_sine", (0, 1), 2048)
-        F = field_from_zak(zak_transform(f, 2048, 64))
+        F = zak_transform(f, 2048, 64)
         got = mean(F, remark_cube(3, 0.25))
         assert got == pytest.approx(np.sinc(1 / 8) * np.sinc(3 / 4), abs=1e-6)
 
@@ -74,7 +72,7 @@ class TestMeanOscillation:
 
     def test_remark_witness_lower_bound(self):
         f = sample_function("box_sine", (0, 1), 2048)
-        F = field_from_zak(zak_transform(f, 2048, 64))
+        F = zak_transform(f, 2048, 64)
         mq = mean_oscillation(F, remark_cube(3, 0.25))
         assert mq >= 1 / math.pi - 1e-3
 
@@ -98,7 +96,7 @@ class TestOscSupremum:
 
     def test_box_zak_jump(self, box64):
         # Zf jumps from 1 to exp(2 pi i w) across x = 1
-        F = field_from_zak(zak_transform(box64, 64, 64))
+        F = zak_transform(box64, 64, 64)
         s = osc_supremum(F, (0.75, 1.25, 0.0, 1.0), (1 / 8) ** 2 * 1.01)
         assert s >= 0.2
 
@@ -157,7 +155,7 @@ class TestMeanFunction:
         assert np.max(np.abs(out - np.roll(out, n // 4, axis=1))) < 1e-12
 
     def test_quasiperiodic_spatial_path(self, gauss64):
-        F = field_from_zak(zak_transform(gauss64, 64, 64))
+        F = zak_transform(gauss64, 64, 64)
         out = mean_function(F, 2 / 64)
         # averaging a continuous field barely moves it
         assert np.max(np.abs(out.values - F.values)) < 0.2
@@ -175,21 +173,24 @@ class TestDecayProfiles:
         assert all(s == 0 for s in rep.s_values)
 
     def test_gaussian_zak_decays(self, gauss64):
-        F = field_from_zak(zak_transform(gauss64, 64, 64))
+        F = zak_transform(gauss64, 64, 64)
         rep = vmo_decay_profile(F, (0, 1, 0, 1), [1 / 16, 1 / 64, 1 / 256, 1 / 1024])
         assert rep.verdict == "vmo-consistent"
         assert rep.monotone
 
     def test_box_sine_far_window_fails(self, box_sine64):
-        F = field_from_zak(zak_transform(box_sine64, 64, 64))
+        F = zak_transform(box_sine64, 64, 64)
         eps = [(1 / 4) ** 2 * 1.01, (1 / 8) ** 2 * 1.01, (1 / 16) ** 2 * 1.01]
         rep = vmo_decay_profile(F, (2.0, 12.0, -0.5, 0.5), eps)
         assert rep.verdict == "vmo-fail-witness"
         assert rep.witness is not None
         assert rep.witness_value >= 1 / math.pi
+        # the sweep and mean_oscillation subtract the same cell mean, so the
+        # witness cube reads the same oscillation through both
+        assert mean_oscillation(F, rep.witness) == pytest.approx(rep.witness_value, abs=1e-12)
 
     def test_box_sine_near_window_consistent(self, box_sine64):
-        F = field_from_zak(zak_transform(box_sine64, 64, 64))
+        F = zak_transform(box_sine64, 64, 64)
         eps = [(1 / 4) ** 2 * 1.01, (1 / 8) ** 2 * 1.01, (1 / 16) ** 2 * 1.01, (1 / 32) ** 2 * 1.01]
         rep = vmo_decay_profile(F, (0.0, 1.0, 0.0, 1.0), eps)
         assert rep.verdict == "vmo-consistent"

@@ -7,7 +7,6 @@ from zakvmo.core import GridError, sample_function
 from zakvmo.zak import (
     AliasingError,
     check_zak_identities,
-    extended_values,
     inverse_zak,
     zak_extend,
     zak_l2_norm,
@@ -36,6 +35,12 @@ class TestZakTransform:
         direct = np.sum(np.exp(-((0.5 + ks) ** 2)) * np.exp(-1j * np.pi * ks))
         assert abs(val) < 1e-3
         assert abs(val - direct) < 1e-12
+
+    def test_returns_quasiperiodic_unit_square_field(self, gauss64):
+        Z = zak_transform(gauss64, 64, 32)
+        assert (Z.nx, Z.nw, Z.hx, Z.hw) == (64, 32, 1 / 64, 1 / 32)
+        assert Z.extension == "quasiperiodic"
+        assert Z.omega_modes == (-8, 8)
 
     def test_nx_must_divide(self, gauss64):
         with pytest.raises(GridError):
@@ -71,8 +76,8 @@ class TestZakExtend:
     def test_quasi_periodic_relation_everywhere(self, gauss64):
         Z = zak_transform(gauss64, 64, 64)
         ij = np.arange(64)
-        base = extended_values(Z, ij[:, None], ij[None, :])
-        up = extended_values(Z, ij[:, None] + 64, ij[None, :])
+        base = Z.at(ij[:, None], ij[None, :])
+        up = Z.at(ij[:, None] + 64, ij[None, :])
         phases = np.exp(2j * np.pi * ij / 64)
         assert np.max(np.abs(up - phases[None, :] * base)) < 1e-14
 
