@@ -264,7 +264,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     log["riesz"] = {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est}
     log["invariance"] = {"max_residual": inv_rep.max_residual, "verdict": inv_rep.verdict}
     log["vmo_profile"] = prof.as_dict()
-    is_riesz = riesz_rep.a_est > 1e-9
+    is_riesz = riesz_rep.a_est > gabor.RIESZ_FLOOR
     log["summary"] = {
         "riesz_sequence": is_riesz,
         "extra_invariance": inv_rep.verdict,
@@ -387,7 +387,7 @@ def _suite_vmo_inequalities(seed: int, cases: int) -> bool:
     rep2 = vmo.check_inequalities(F2, G, (0, 1, 0, 1), eps=0.01, n_cases=cases, rng=rng)
     ok = rep.passed() and rep2.passed()
     for name, r in {**rep.results, **rep2.results}.items():
-        status = "ok" if (not r.precondition_ok or r.max_ratio <= 1.001) else "FAIL"
+        status = "ok" if r.passed() else "FAIL"
         print(f"  {name:22s} max_ratio={r.max_ratio:.4f} cases={r.cases} [{status}]")
     return ok
 

@@ -65,7 +65,7 @@ def apply_dilation(f: SampledFunction, mu) -> SampledFunction:
     k1 = -((-j1) // s_out)
     out = np.zeros((k1 - k0) * s_out, dtype=np.complex128)
     src = f.values[::-1] if neg else f.values
-    off = (j0 if not neg else j0) - k0 * s_out
+    off = j0 - k0 * s_out
     out[off : off + len(src)] = src
     return SampledFunction(s_out, k0, k1, math.sqrt(p / q) * out)
 

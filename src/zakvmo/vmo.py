@@ -314,42 +314,28 @@ def mean_function(F: ScalarField2D, r: float) -> ScalarField2D:
 # ---------------------------------------------------------------------------
 
 
+# A checked ratio passes up to 1 + RATIO_TOL (grid-level rounding slack).
+RATIO_TOL = 1e-3
+
+
 @dataclass
 class InequalityResult:
     name: str
     max_ratio: float = 0.0
     cases: int = 0
-    skipped: int = 0
     precondition_ok: bool = True
     note: str = ""
 
-    def as_dict(self) -> dict:
-        return {
-            "max_ratio": self.max_ratio,
-            "cases": self.cases,
-            "skipped": self.skipped,
-            "precondition_ok": self.precondition_ok,
-            "note": self.note,
-        }
+    def passed(self) -> bool:
+        return (not self.precondition_ok) or self.max_ratio <= 1.0 + RATIO_TOL
 
 
 @dataclass
 class InequalityReport:
     results: dict
-    norms_are_grid_level: bool = True
 
-    def passed(self, tol: float = 1e-3) -> bool:
-        return all(
-            (not r.precondition_ok) or r.max_ratio <= 1.0 + tol
-            for r in self.results.values()
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "norms_are_grid_level": self.norms_are_grid_level,
-            "results": {k: v.as_dict() for k, v in self.results.items()},
-        }
+    def passed(self) -> bool:
+        return all(r.passed() for r in self.results.values())
 
 
 def prods_constant(sup_norms) -> float:

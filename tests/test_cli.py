@@ -225,6 +225,22 @@ class TestSubcommands:
         assert "divisibility certificate" in text
         assert json.loads((out / "demo.json").read_text())["divisibility"] is False
 
+    @pytest.mark.parametrize(
+        "tol, shift",
+        [(0.1, ["0", "1/2"]), (1e-8, ["1/2", "0"])],
+        ids=["loose-tol", "tight-tol-lattice-point"],
+    )
+    @pytest.mark.parametrize("command", ["invariance", "analyze"])
+    def test_invariant_verdict_under_non_default_tol(self, tmp_path, command, tol, shift):
+        # the Gaussian on (1/2)Z x 3Z: the verdict reads the residual alone,
+        # so neither solver rounding in F nor a tight tol breaks it
+        cfg = write_config(
+            tmp_path, S=48, nx=48, nw=48, lattice={"P": 3, "Q": 2}, shift=shift, tol=tol,
+        )
+        out = tmp_path / "out"
+        assert main(["--config", cfg, "--out", str(out), command]) == 0
+        assert json.loads((out / "invariance.json").read_text())["verdict"] == "invariant"
+
 
 class TestExitCodes:
     def test_missing_config(self, tmp_path):

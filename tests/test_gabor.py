@@ -228,9 +228,43 @@ class TestInvarianceSolve:
         with pytest.raises(RieszFailureError):
             invariance_solve(riesz_bounds(f, LAT11, 64, 64), Fraction(1, 2), 0)
 
-    def test_periodicity_deviation_small(self, gauss64):
+    def test_f_field_is_exactly_periodic(self, gauss64):
         rep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), Fraction(1, 2), 0)
-        assert rep.periodicity_deviation < 1e-10
+        assert np.array_equal(rep.f_field, np.roll(rep.f_field, 64 // 2, axis=1))
+
+    @pytest.mark.parametrize("recipe, support", [("box_sine", (0, 1)), ("gaussian", (-8, 8))])
+    @pytest.mark.parametrize("P, Q", [(2, 1), (3, 2)])
+    @pytest.mark.parametrize("u, eta", [("1/3", 0), ("1/4", "1/4"), (0, "1/2")])
+    def test_period_rectangle_solve_matches_full_square_lstsq(self, recipe, support, P, Q, u, eta):
+        # independent oracle: A and the right-hand side read straight from
+        # the Zak field at every node of the unit square, one lstsq per node
+        S = 48
+        g = sample_function(recipe, support, S)
+        lat = SeparableLattice(P, Q)
+        riesz = riesz_bounds(g, lat, S, S)
+        rep = invariance_solve(riesz, u, eta)
+        Z = zak_transform(g, S, S)
+        u, eta = Fraction(u), Fraction(eta)
+        du, de = int(u * S), int(eta * S)
+        ix = np.arange(S)[:, None]
+        iw = np.arange(S)[None, :]
+        x = np.arange(S) / S
+        A = np.array([[Z.at(ix - k * S // P - ell * S // Q, iw) for ell in range(Q)] for k in range(P)])
+        b = np.array([
+            np.exp(2j * np.pi * float(eta) * (x[:, None] - k / P)) * Z.at(ix - du - k * S // P, iw - de)
+            for k in range(P)
+        ])
+        F = np.empty((Q, S, S), dtype=complex)
+        res = np.empty((S, S))
+        for i in range(S):
+            for j in range(S):
+                F[:, i, j] = np.linalg.lstsq(A[:, :, i, j], b[:, i, j], rcond=None)[0]
+                res[i, j] = np.linalg.norm(A[:, :, i, j] @ F[:, i, j] - b[:, i, j])
+        oracle = res.max() / np.linalg.norm(b, axis=0).max()
+        assert rep.max_residual == pytest.approx(oracle, rel=1e-9)
+        if recipe == "box_sine":
+            assert riesz.a_est > 1 / 6 - 1e-9  # well conditioned: F itself is stable
+            assert np.max(np.abs(F - rep.f_field)) < 1e-10
 
 
 class TestCoefficientRecovery:
@@ -262,11 +296,6 @@ class TestCoefficientRecovery:
         for k, v in modes.items():
             assert rec.coeffs[k] == pytest.approx(v, abs=1e-10)
         assert rec.parseval_tail < 1e-12
-
-    def test_periodicity_violation_rejected(self, rng):
-        bad = rng.standard_normal((1, 32, 32)) + 0j
-        with pytest.raises(ValueError, match="periodic"):
-            coefficient_recovery(bad, SeparableLattice(2, 1), 4)
 
 
 class TestMMatrix:

@@ -1,9 +1,11 @@
 """Every name a ``zakvmo`` module, a test file or a ``perfbench`` script
-imports is used in it.
+imports is used in it, and every private module-level function or class of
+a ``zakvmo`` module is used in that module.
 
 No linter is a dependency, so this parses each source file with ``ast``
-and compares the names its imports bind with the names it reads.  The
-package ``__init__.py`` is skipped: its imports are the re-exported API.
+and compares the names its imports and private definitions bind with the
+names it reads.  The package ``__init__.py`` is skipped: its imports are
+the re-exported API.
 """
 
 import ast
@@ -14,11 +16,8 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "zakvmo"
 BENCH = TESTS.parent / "perfbench"
-FILES = (
-    sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-    + sorted(TESTS.glob("*.py"))
-    + sorted(BENCH.glob("*.py"))
-)
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+FILES = MODULES + sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,6 +35,26 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for line, name in unused]
 
 
+def unused_private_defs(source: str) -> list[str]:
+    """Module-level ``_name`` functions and classes read nowhere in the
+    module outside their own definition (a recursive call does not count)."""
+    tree = ast.parse(source)
+    defs = [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+    unused = []
+    for node in defs:
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(
+            isinstance(n, ast.Name) and n.id == node.name and id(n) not in inside
+            for n in ast.walk(tree)
+        ):
+            unused.append(f"line {node.lineno}: {node.name}")
+    return unused
+
+
 def test_checker_flags_unused_and_keeps_used():
     src = "import io\nimport os\nfrom a import b as c, d\n\ndef f(x: d):\n    return os.sep\n"
     assert unused_imports(src) == ["line 1: io", "line 3: c"]
@@ -44,3 +63,18 @@ def test_checker_flags_unused_and_keeps_used():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_private_checker_flags_dead_helpers():
+    src = (
+        "def _used():\n    return 1\n\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n\n"
+        "class _Dead:\n    pass\n\n"
+        "def public():\n    return _used()\n"
+    )
+    assert unused_private_defs(src) == ["line 4: _recursive", "line 7: _Dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_private_helpers(path):
+    assert unused_private_defs(path.read_text()) == []
