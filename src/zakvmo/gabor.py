@@ -200,46 +200,31 @@ class CoefficientRecovery:
 
     coeffs: dict
     parseval_tail: float
-    total_power: float
 
 
-def coefficient_recovery(F, lat: SeparableLattice, max_order: int) -> CoefficientRecovery:
+def coefficient_recovery(F) -> CoefficientRecovery:
     """Read c_{sQ+l, n} from the vector field F on its period rectangle.
 
-    ``F`` is the (Q, nx, nw) array of 1/P-periodic components
-    F_l(x, w) = sum_{s,n} c_{sQ+l, n} e^{2 pi i (n P x - s w)}; each
-    component is averaged against the matching mode on [0, 1/P) x [0, 1),
-    so only that slice of ``F`` is read.
-    Coefficients are truncated at |s|, |n| <= max_order and reported as a
+    ``F`` is the (Q, J, nw) array of components
+    F_l(x, w) = sum_{s,n} c_{sQ+l, n} e^{2 pi i (n P x - s w)} at the nodes
+    x = i / (J P) < 1/P, w = j / nw.  One 2-D FFT gives every coefficient,
+    with n in [-J/2, J/2) and s in [-nw/2, nw/2); those at most _COEFF_DROP
+    times the largest over all components are dropped.  The result is a
     sparse map (m, n) -> complex with m = s*Q + l, together with the
-    Parseval tail sum |c|^2 outside the truncation.
+    Parseval tail sum |c|^2 of the dropped ones.
     """
-    vals = np.asarray(F)
-    Q, nx, nw = vals.shape
-    P = lat.P
-    if nx % P != 0:
-        raise GridError("nx must be divisible by P")
-    J = nx // P
-    coeffs = {}
-    total = 0.0
-    kept = 0.0
-    # FFT bin conventions: n in [-J/2, J/2), s in [-nw/2, nw/2), so each
-    # discrete mode is counted exactly once even at full order.
-    n_lo, n_hi = -min(max_order, J // 2), min(max_order, (J - 1) // 2)
-    s_lo, s_hi = -min(max_order, nw // 2), min(max_order, (nw - 1) // 2)
-    for ell in range(Q):
-        block = vals[ell, :J, :]
-        c = np.fft.ifft(np.fft.fft(block, axis=0), axis=1) / J
-        total += float(np.sum(np.abs(c) ** 2))
-        limit = float(np.max(np.abs(c))) * _COEFF_DROP
-        for n in range(n_lo, n_hi + 1):
-            for s in range(s_lo, s_hi + 1):
-                val = c[n % J, s % nw]
-                if abs(val) <= limit:
-                    continue
-                coeffs[(s * Q + ell, n)] = complex(val)
-                kept += abs(val) ** 2
-    return CoefficientRecovery(coeffs, max(total - kept, 0.0), total)
+    Q, J, nw = np.shape(F)
+    c = np.fft.fft2(F, axes=(1, 2)) / (J * nw)  # bin (n, -s) mod (J, nw)
+    mag = np.abs(c)
+    keep = mag > _COEFF_DROP * mag.max()
+    ell, nb, sb = np.nonzero(keep)
+    n = (nb + J // 2) % J - J // 2
+    s = (nw // 2 - sb) % nw - nw // 2
+    coeffs = {
+        (int(si) * Q + int(li), int(ni)): complex(v)
+        for li, ni, si, v in zip(ell, n, s, c[keep])
+    }
+    return CoefficientRecovery(coeffs, float(np.sum(mag[~keep] ** 2)))
 
 
 def resynthesize(
@@ -298,9 +283,7 @@ class InvarianceReport:
         }
 
 
-def invariance_solve(
-    riesz: RieszReport, u, eta, tol: float = 1e-6, max_order: int | None = None
-) -> InvarianceReport:
+def invariance_solve(riesz: RieszReport, u, eta, tol: float = 1e-6) -> InvarianceReport:
     """Solve A(x,w) F(x,w) = e^{2 pi i eta x} D_P A(x-u, w-eta) e_0 per node.
 
     Reads the Zak grid, the field A, the lattice and the lower bound from
@@ -308,8 +291,8 @@ def invariance_solve(
     them.  Both sides obey the same law X(x + 1/P, w) = Pi(w) X(x, w) with a
     unitary Pi(w), so the least-squares F is 1/P-periodic in x: the solve
     runs on the period rectangle x < 1/P only, and ``f_field`` is that
-    solution tiled P times along x.  It uses the explicit normal equations
-    F = (A* A)^{-1} A* rhs on the Q x Q blocks.  ``max_residual`` is the sup
+    solution tiled P times along x.  Each node is solved by a reduced QR of
+    its P x Q block, F = R^{-1} Q* rhs.  ``max_residual`` is the sup
     over nodes of the least-squares residual norm relative to the sup of the
     right-hand-side norm.  Verdict bands: invariant below tol, inconclusive
     in [tol, 10 tol), not-invariant above.  Irrational shifts are rejected;
@@ -342,17 +325,13 @@ def invariance_solve(
 
     Am = riesz.field[:, :, :J].transpose(2, 3, 0, 1).reshape(-1, P, Q)
     bm = rhs.transpose(1, 2, 0).reshape(-1, P)
-    AH = Am.conj().transpose(0, 2, 1)
-    G = AH @ Am
-    try:
-        Fm = np.linalg.solve(G, (AH @ bm[:, :, None]))[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise RieszFailureError(f"singular normal equations at some node: {exc}")
+    Qm, Rm = np.linalg.qr(Am)
+    Fm = np.linalg.solve(Rm, Qm.conj().transpose(0, 2, 1) @ bm[:, :, None])[:, :, 0]
     res = (Am @ Fm[:, :, None])[:, :, 0] - bm
     res_norm = np.linalg.norm(res, axis=1)
     rhs_norm = np.linalg.norm(bm, axis=1)
     max_residual = float(res_norm.max() / max(rhs_norm.max(), 1e-300))
-    Fv = np.tile(Fm.reshape(J, nw, Q).transpose(2, 0, 1), (1, P, 1))
+    Fp = Fm.reshape(J, nw, Q).transpose(2, 0, 1)
 
     if max_residual < tol:
         verdict = "invariant"
@@ -363,7 +342,7 @@ def invariance_solve(
 
     coeffs, tail = {}, 0.0
     if verdict == "invariant":
-        rec = coefficient_recovery(Fv, lat, max_order if max_order is not None else nw // 2)
+        rec = coefficient_recovery(Fp)
         coeffs, tail = rec.coeffs, rec.parseval_tail
 
     return InvarianceReport(
@@ -371,7 +350,7 @@ def invariance_solve(
         verdict=verdict,
         coeffs=coeffs,
         parseval_tail=tail,
-        f_field=Fv,
+        f_field=np.tile(Fp, (1, P, 1)),
         riesz=riesz,
         u=u,
         eta=eta,

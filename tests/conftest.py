@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from zakvmo.core import sample_function
+from zakvmo.core import embed, sample_function
 
 
 @pytest.fixture(scope="session")
@@ -27,14 +27,8 @@ def rng():
 def embed_pair(f, g):
     """Zero-extend two sampled functions onto a common grid."""
     assert f.samples_per_unit == g.samples_per_unit
-    s = f.samples_per_unit
-    lo = min(f.k_min, g.k_min)
-    hi = max(f.k_max, g.k_max)
-    a = np.zeros((hi - lo) * s, dtype=np.complex128)
-    b = np.zeros((hi - lo) * s, dtype=np.complex128)
-    a[(f.k_min - lo) * s : (f.k_min - lo) * s + len(f.values)] = f.values
-    b[(g.k_min - lo) * s : (g.k_min - lo) * s + len(g.values)] = g.values
-    return a, b
+    lo, hi = min(f.k_min, g.k_min), max(f.k_max, g.k_max)
+    return embed(f, lo, hi).values, embed(g, lo, hi).values
 
 
 def l2_distance(f, g):

@@ -148,7 +148,7 @@ def test_c06_bounded_inequality_spot_check(gauss64, rng):
 def test_c07_invariance_pipeline(gauss64):
     S = 32
     box = sample_function("box", (0, 1), S)
-    rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0, max_order=16)
+    rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0)
     assert rep.max_residual < 1e-8
     F = rep.f_field[0]
     w = np.arange(S) / S

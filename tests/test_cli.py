@@ -108,11 +108,11 @@ class TestSubcommands:
         assert rep["verdict"] == "not-invariant"
 
     def test_matrix_riesz_and_invariance_match_analyze(self, tmp_path):
-        # all three subcommands analyse the generator and the shift carried
+        # all four subcommands analyse the generator and the shift carried
         # through the reduction matrix B, not the untransported ones
         cfg = write_config(tmp_path, matrix=["2", "1", "0", "1"])
         outs = {}
-        for command in ("analyze", "riesz", "invariance"):
+        for command in ("analyze", "riesz", "invariance", "vmo"):
             outs[command] = tmp_path / command
             assert main(["--config", cfg, "--out", str(outs[command]), command]) == 0
 
@@ -123,9 +123,12 @@ class TestSubcommands:
         assert riesz["a_est"] == load("analyze", "riesz.json")["a_est"]
         analyzed = load("analyze", "invariance.json")
         assert (inv["u"], inv["max_residual"]) == (analyzed["u"], analyzed["max_residual"])
-        reduction = load("analyze", "summary.json")["reduction"]
-        assert riesz["reduction"] == inv["reduction"] == reduction
+        summary = load("analyze", "summary.json")
+        reduction = summary["reduction"]
+        witness = load("vmo", "vmo_witness.json")
+        assert riesz["reduction"] == inv["reduction"] == witness["reduction"] == reduction
         assert reduction["shift_image"] == [inv["u"], inv["eta"]]
+        assert witness["s_values"] == summary["vmo_profile"]["s_values"]
 
     def test_analyze_makes_one_zak_grid(self, tmp_path, monkeypatch):
         calls = []
@@ -264,9 +267,11 @@ class TestExitCodes:
             ("vmo", {"eps_list": [0.001, 0.01]}),
             ("vmo", {"window": [0.0, 1.0, 0.0]}),
             ("zak", {"Nx": 8}),
+            ("zak", {"seed": 5}),
         ],
         ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
-             "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key"],
+             "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key",
+             "seed-key"],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)
@@ -298,15 +303,24 @@ class TestExitCodes:
 
 
 class TestReproducibility:
-    def test_byte_identical_outputs(self, tmp_path):
+    @staticmethod
+    def assert_same_analyze_files(tmp_path, seed1, seed2):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["--config", cfg, "--out", str(out1), "--seed", "7", "analyze"]) == 0
-        assert main(["--config", cfg, "--out", str(out2), "--seed", "7", "analyze"]) == 0
+        assert main(["--config", cfg, "--out", str(out1), "--seed", seed1, "analyze"]) == 0
+        assert main(["--config", cfg, "--out", str(out2), "--seed", seed2, "analyze"]) == 0
         names = sorted(os.listdir(out1))
         assert names == sorted(os.listdir(out2))
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_byte_identical_outputs(self, tmp_path):
+        self.assert_same_analyze_files(tmp_path, "7", "7")
+
+    def test_seed_does_not_reach_the_config(self, tmp_path):
+        # --seed seeds the proptest suites only: analyze draws no random
+        # numbers, so its files, config hash included, ignore the seed
+        self.assert_same_analyze_files(tmp_path, "1", "7")
 
 
 class TestProptestSuites:
@@ -316,8 +330,11 @@ class TestProptestSuites:
     def test_pi_commutation(self, tmp_path):
         assert main(["--out", str(tmp_path), "proptest", "pi-commutation", "--cases", "40"]) == 0
 
-    def test_vmo_small(self, tmp_path):
+    def test_vmo_small(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "proptest", "vmo-inequalities", "--cases", "60"]) == 0
+        # both reports print their eight results
+        lines = capsys.readouterr().out.splitlines()
+        assert sum("max_ratio=" in line for line in lines) == 16
 
     def test_metaplectic_cov(self, tmp_path):
         assert main(["--out", str(tmp_path), "proptest", "metaplectic-covariance", "--cases", "25"]) == 0
