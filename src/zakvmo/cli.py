@@ -65,7 +65,7 @@ DEFAULT_CONFIG = {
 }
 
 
-def load_config(path: str | None, overrides: dict) -> dict:
+def load_config(path: str | None) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     if path:
         try:
@@ -73,7 +73,6 @@ def load_config(path: str | None, overrides: dict) -> dict:
                 cfg.update(json.load(fh))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
-    cfg.update({k: v for k, v in overrides.items() if v is not None})
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG) - {"matrix"})
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
@@ -253,9 +252,9 @@ def cmd_analyze(cfg: dict, args) -> int:
         log["reduction"] = reduction
         write_json(_out(args, "summary.json"), log)  # reduction log first
     riesz_rep = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
-    write_report(_out(args, "riesz.json"), riesz_rep, h)
+    write_report(_out(args, "riesz.json"), riesz_rep, h, reduction)
     inv_rep = gabor.invariance_solve(riesz_rep, u, eta, float(cfg["tol"]))
-    write_report(_out(args, "invariance.json"), inv_rep, h)
+    write_report(_out(args, "invariance.json"), inv_rep, h, reduction)
     prof = vmo.vmo_decay_profile(
         riesz_rep.zak, tuple(cfg["window"]), list(cfg["eps_list"]),
         float(cfg["vmo_floor"]),
@@ -354,10 +353,8 @@ def cmd_demo(cfg: dict, args) -> int:
     mres = gabor.m_matrix(rep.f_field, lat, 0)
     fr = gabor.fertig_residual(riesz_rep, u, 0, mres)
     print(f"transfer-matrix identity residual = {fr:.2e}")
-    prod = gabor.product_relation_residual(
-        ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field[0], "periodic"),
-        u, 0, 2, 0, -1,
-    )
+    H = ScalarField2D(rep.f_field[0], "periodic")
+    prod = gabor.product_relation_residual(H, u, 0, 2, 0, -1)
     print(f"2-step product equals exp(-2 pi i w): residual = {prod:.2e}")
     ok = gabor.divisibility_check(1, 1, 2, 0, -1)
     print(f"divisibility certificate for (M1, M2) = (0, -1): {ok} "
@@ -476,7 +473,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--tol", type=float, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("zak", "analyze", "riesz", "invariance", "vmo", "metaplectic",
                  "uncertainty", "demo"):
@@ -497,7 +493,7 @@ def main(argv=None) -> int:
         "demo": cmd_demo,
     }
     try:
-        cfg = load_config(args.config, {"tol": args.tol})
+        cfg = load_config(args.config)
         if args.command == "proptest":
             return cmd_proptest(cfg, args)
         return handlers[args.command](cfg, args)

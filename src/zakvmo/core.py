@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,10 +24,21 @@ class GridError(ValueError):
     """A requested operation is not exact on the sampling grid."""
 
 
-def _as_int(x, what):
-    r = round(float(x))
-    if abs(float(x) - r) > 1e-9:
-        raise GridError(f"{what} = {x} is not an integer")
+def node_index(val, n: int, what: str) -> int:
+    """Index of ``val`` on the 1/n grid; GridError when it is off-node.
+
+    An int or Fraction is tested exactly, a float to within 1e-9 of a node
+    spacing.  This is the one rule that turns a coordinate into an index.
+    """
+    if isinstance(val, (int, Fraction)):
+        t = Fraction(val) * n
+        if t.denominator != 1:
+            raise GridError(f"{what} = {val} is not on the 1/{n} grid")
+        return int(t)
+    t = float(val) * n
+    r = round(t)
+    if abs(t - r) > 1e-9:
+        raise GridError(f"{what} = {val} is not on the 1/{n} grid")
     return int(r)
 
 
@@ -72,21 +84,17 @@ class SampledFunction:
 
 @dataclass(eq=False)
 class ScalarField2D:
-    """Complex values on the node grid (x0 + i*hx, w0 + j*hw).
+    """Complex values at the nodes (i/nx, j/nw) of the unit square [0,1)^2.
 
-    ``extension`` controls reads outside the stored rectangle: ``"none"``
-    raises, ``"periodic"`` tiles by the rectangle, ``"quasiperiodic"``
-    applies F(x + m, w) = exp(2 pi i m w) F(x, w) and 1-periodicity in w
-    (stored rectangle must be the unit square).  ``omega_modes`` marks rows
-    as trigonometric polynomials sum_{k in [k0,k1)} c_k e^{-2 pi i k w}.
-    The Zak transform is such a field: quasi-periodic on the unit square,
-    with the support cells of its source as the omega modes.
+    ``extension`` controls reads outside the square: ``"none"`` raises,
+    ``"periodic"`` tiles by it, ``"quasiperiodic"`` applies
+    F(x + m, w) = exp(2 pi i m w) F(x, w) and 1-periodicity in w.
+    ``omega_modes`` marks rows as trigonometric polynomials
+    sum_{k in [k0,k1)} c_k e^{-2 pi i k w}.  The Zak transform is such a
+    field: quasi-periodic, with the support cells of its source as the
+    omega modes.
     """
 
-    x0: float
-    w0: float
-    hx: float
-    hw: float
     values: np.ndarray
     extension: str = "none"
     omega_modes: tuple[int, int] | None = None
@@ -97,15 +105,6 @@ class ScalarField2D:
             raise ValueError("field values must be a 2-D array")
         if self.extension not in ("none", "periodic", "quasiperiodic"):
             raise ValueError(f"unknown extension {self.extension!r}")
-        if self.extension == "quasiperiodic":
-            nx, nw = self.values.shape
-            if (
-                abs(self.x0) > 1e-12
-                or abs(self.w0) > 1e-12
-                or abs(nx * self.hx - 1.0) > 1e-9
-                or abs(nw * self.hw - 1.0) > 1e-9
-            ):
-                raise ValueError("quasiperiodic extension requires the unit square")
 
     @property
     def nx(self) -> int:
@@ -114,6 +113,14 @@ class ScalarField2D:
     @property
     def nw(self) -> int:
         return self.values.shape[1]
+
+    @property
+    def hx(self) -> float:
+        return 1.0 / self.nx
+
+    @property
+    def hw(self) -> float:
+        return 1.0 / self.nw
 
     def at(self, ix, iw) -> np.ndarray:
         """Values at the global node indices (ix, iw), broadcast against each
@@ -222,7 +229,7 @@ def tf_shift(f: SampledFunction, shift) -> SampledFunction:
     """
     u, eta = shift
     s = f.samples_per_unit
-    du = _as_int(float(u) * s, "u * samples_per_unit")
+    du = node_index(u, s, "u")
     j0 = f.j_min + du
     k0 = j0 // s
     k1 = -((-(j0 + len(f.values))) // s)  # ceil division

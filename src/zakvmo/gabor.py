@@ -24,9 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GridError, SampledFunction, ScalarField2D, embed, tf_shift
+from .core import GridError, SampledFunction, ScalarField2D, embed, node_index, tf_shift
 from .symplectic import as_fraction
-from .zak import node_index, rolled, zak_transform
+from .zak import zak_transform
 
 # The lower Riesz bound below which the system counts as no Riesz sequence:
 # the invariance solve refuses to run there, and ``analyze`` reports it.
@@ -75,7 +75,7 @@ def zz_matrix(Zg: ScalarField2D, lat: SeparableLattice, du: int = 0, de: int = 0
     A = np.empty((P, Q, n, nw), dtype=np.complex128)
     for k in range(P):
         for ell in range(Q):
-            A[k, ell] = rolled(Zg, du + k * n // P + ell * n // Q, de)
+            A[k, ell] = Zg.window(-(du + k * n // P + ell * n // Q), -de, n, nw)
     return A
 
 

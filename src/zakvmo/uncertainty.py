@@ -19,6 +19,17 @@ import numpy as np
 from . import _kernels
 from .core import GridError, SampledFunction, embed, fourier_transform
 
+# Relative last increment below which each sweep counts as saturated.
+_MOMENT_REL_TOL = 1e-8
+_GAGLIARDO_REL_TOL = 1e-3
+_FEICHTINGER_REL_TOL = 1e-6
+# Output sample rate of the Fourier transform behind the frequency moment.
+_FREQ_OUT_S = 16
+# Excluded diagonal bands (in grid cells) of the Gagliardo band sweep.
+_GAGLIARDO_BANDS = (16, 8, 4, 2, 1)
+# (t, v) steps of the Feichtinger quadrature grid.
+_FEICHTINGER_GRID = (0.25, 0.125)
+
 
 @dataclass(frozen=True)
 class MomentSpec:
@@ -100,9 +111,7 @@ def _sweep(radii, partials, rel_tol: float, axis: str) -> DivergenceSweep:
     return DivergenceSweep(radii, partials, False, None, shape, rate, axis)
 
 
-def weighted_moment(
-    g: SampledFunction, spec, radii, rel_tol: float = 1e-8
-) -> DivergenceSweep:
+def weighted_moment(g: SampledFunction, spec, radii) -> DivergenceSweep:
     """Partial integrals of |x - center|^q |g(x)|^2 over |x - center| <= R.
 
     For compactly supported samples the sweep saturates once R covers the
@@ -116,7 +125,7 @@ def weighted_moment(
     partials = []
     for r in radii:
         partials.append(float(np.sum(weight[np.abs(x) <= r]) / g.samples_per_unit))
-    return _sweep(radii, partials, rel_tol, "radius")
+    return _sweep(radii, partials, _MOMENT_REL_TOL, "radius")
 
 
 def uncertainty_product(
@@ -127,8 +136,6 @@ def uncertainty_product(
     beta: float,
     radii,
     dual: bool = False,
-    freq_out_S: int = 16,
-    rel_tol: float = 1e-8,
 ) -> tuple[DivergenceSweep, DivergenceSweep]:
     """Sweeps of the two uncertainty factors
     ( int |x-alpha|^q |g|^2 ) and ( int |w-beta|^p |ghat|^2 ).
@@ -140,15 +147,13 @@ def uncertainty_product(
     if dual and abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
         raise ValueError(f"exponents are not Holder-dual: 1/{p} + 1/{q} != 1")
     rmax = int(math.ceil(max(radii))) + 1
-    ghat = fourier_transform(g, out_S=freq_out_S, out_support=(-rmax, rmax))
-    time_sweep = weighted_moment(g, MomentSpec(q, alpha), radii, rel_tol)
-    freq_sweep = weighted_moment(ghat, MomentSpec(p, beta), radii, rel_tol)
+    ghat = fourier_transform(g, out_S=_FREQ_OUT_S, out_support=(-rmax, rmax))
+    time_sweep = weighted_moment(g, MomentSpec(q, alpha), radii)
+    freq_sweep = weighted_moment(ghat, MomentSpec(p, beta), radii)
     return time_sweep, freq_sweep
 
 
-def gagliardo_seminorm(
-    g: SampledFunction, s: float, radii, bands=(16, 8, 4, 2, 1), rel_tol: float = 1e-3
-) -> DivergenceSweep:
+def gagliardo_seminorm(g: SampledFunction, s: float, radii) -> DivergenceSweep:
     """Truncated double integral of |g(x) - g(y)|^2 / |x - y|^{1 + 2s}.
 
     The rectangle rule runs over [-R, R]^2 minus a diagonal band; the
@@ -172,11 +177,11 @@ def gagliardo_seminorm(
         vals = np.ascontiguousarray(big[np.abs(x) <= r])
         return _kernels.gagliardo_pairs(vals, h, int(band), expo)
 
-    sat = [banded(r, bands[0]) for r in sorted(radii)]
-    radius_sweep = _sweep(sorted(radii), sat, rel_tol, "radius")
-    partials = [banded(rmax, b) for b in bands]
-    axis_vals = [1.0 / (b * h) for b in bands]
-    sweep = _sweep(axis_vals, partials, rel_tol, "one_over_band")
+    sat = [banded(r, _GAGLIARDO_BANDS[0]) for r in sorted(radii)]
+    radius_sweep = _sweep(sorted(radii), sat, _GAGLIARDO_REL_TOL, "radius")
+    partials = [banded(rmax, b) for b in _GAGLIARDO_BANDS]
+    axis_vals = [1.0 / (b * h) for b in _GAGLIARDO_BANDS]
+    sweep = _sweep(axis_vals, partials, _GAGLIARDO_REL_TOL, "one_over_band")
     if not radius_sweep.converged and sweep.converged:
         return DivergenceSweep(
             axis_vals, partials, False, None, radius_sweep.growth_shape,
@@ -185,12 +190,7 @@ def gagliardo_seminorm(
     return sweep
 
 
-def feichtinger_norm_estimate(
-    g: SampledFunction,
-    grid=(0.25, 0.125),
-    radii=(2, 4, 8, 16),
-    rel_tol: float = 1e-6,
-) -> DivergenceSweep:
+def feichtinger_norm_estimate(g: SampledFunction, radii=(2, 4, 8, 16)) -> DivergenceSweep:
     """Absolute integral of the Gaussian-window transform
     V(t, v) = int g(x) e^{-(x-t)^2} e^{2 pi i x v} dx over expanding
     frequency boxes |v| <= R (t integrated over the window-widened support).
@@ -199,7 +199,7 @@ def feichtinger_norm_estimate(
     box-like generators produce logarithmically growing partials.  The
     sampled transform aliases at |v| ~ S, so radii are capped at S/4.
     """
-    t_step, v_step = grid
+    t_step, v_step = _FEICHTINGER_GRID
     vmax = float(max(radii))
     if vmax > g.samples_per_unit / 4:
         raise GridError(
@@ -214,4 +214,4 @@ def feichtinger_norm_estimate(
     mag = np.abs(window @ kernel) / g.samples_per_unit  # (t, v)
     cell = t_step * v_step
     partials = [float(mag[:, np.abs(v) <= r].sum() * cell) for r in radii]
-    return _sweep(radii, partials, rel_tol, "radius")
+    return _sweep(radii, partials, _FEICHTINGER_REL_TOL, "radius")

@@ -6,13 +6,14 @@ profiles over dyadic eps, and randomized checkers for the quantitative
 inequalities that make bounded/vanishing mean oscillation stable under
 products, inverses, affine pullbacks and C^1 multipliers.
 
-Grid conventions: fields live on uniform node grids; cubes are closed
-squares with grid-aligned corners, and a cube of side s*h covers exactly
-the s cells whose left endpoints lie inside it, so means are left-endpoint
-cell averages (exact for fields that are constant per cell).  The Zak
-transform (``zak.zak_transform``) carries its omega band structure, and
-:func:`mean` then integrates the omega direction exactly as trigonometric
-polynomials; oscillations always subtract the cell average.
+Grid conventions: fields live on the node grid of the unit square; cubes
+are closed squares whose edges are nodes (``core.node_index``), and a cube
+of side s*h covers exactly the s cells whose left endpoints lie inside it,
+so means are left-endpoint cell averages (exact for fields that are
+constant per cell).  The Zak transform (``zak.zak_transform``) carries its
+omega band structure, and :func:`mean` then integrates the omega direction
+exactly as trigonometric polynomials; oscillations always subtract the
+cell average.
 essinf/esssup on sampled fields are node minima/maxima and are flagged as
 grid-level proxies in reports.
 """
@@ -25,15 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import GridError, ScalarField2D
+from .core import GridError, ScalarField2D, node_index
 
 
-def field_from_function(fn, rect, nx: int, nw: int, extension: str = "none") -> ScalarField2D:
-    x0, x1, w0, w1 = rect
-    hx, hw = (x1 - x0) / nx, (w1 - w0) / nw
-    X = x0 + hx * np.arange(nx)
-    W = w0 + hw * np.arange(nw)
-    return ScalarField2D(x0, w0, hx, hw, fn(X[:, None], W[None, :]), extension)
+def field_from_function(fn, nx: int, nw: int, extension: str = "none") -> ScalarField2D:
+    """fn(x, w) at the nodes (i/nx, j/nw) of the unit square."""
+    x, w = np.arange(nx)[:, None] / nx, np.arange(nw)[None, :] / nw
+    return ScalarField2D(fn(x, w), extension)
 
 
 def random_trig_field(rng, nx: int, nw: int, degree: int = 3, scale: float = 1.0, offset: complex = 0.0) -> ScalarField2D:
@@ -45,7 +44,7 @@ def random_trig_field(rng, nx: int, nw: int, degree: int = 3, scale: float = 1.0
             c[a % nx, b % nw] = amp * (rng.standard_normal() + 1j * rng.standard_normal())
     c[0, 0] += offset
     vals = np.fft.ifft2(c) * (nx * nw)
-    return ScalarField2D(0.0, 0.0, 1.0 / nx, 1.0 / nw, vals, "periodic")
+    return ScalarField2D(vals, "periodic")
 
 
 @dataclass(frozen=True)
@@ -66,21 +65,21 @@ def remark_cube(k: int, delta: float) -> Cube:
     return Cube(k + 0.5, 0.0, delta)
 
 
-def _snap(value: float, what: str, tol: float = 1e-6) -> int:
-    r = round(value)
-    if abs(value - r) > tol:
-        raise GridError(f"{what} = {value} is not grid-aligned")
-    return int(r)
+def _rect_window(field: ScalarField2D, rect):
+    """(i0, j0, ni, nj) of the node window of rect = (x0, x1, w0, w1); every
+    edge must be a grid node and the window at least one cell wide."""
+    x0, x1, w0, w1 = rect
+    i0, i1 = node_index(x0, field.nx, "window x low"), node_index(x1, field.nx, "window x high")
+    j0, j1 = node_index(w0, field.nw, "window w low"), node_index(w1, field.nw, "window w high")
+    if i1 <= i0 or j1 <= j0:
+        raise GridError(f"window {tuple(rect)} covers no grid cell")
+    return i0, j0, i1 - i0, j1 - j0
 
 
-def _cube_indices(field: ScalarField2D, cube: Cube):
-    sx = _snap(cube.side / field.hx, "cube side / hx")
-    sy = _snap(cube.side / field.hw, "cube side / hw")
-    if sx < 1 or sy < 1:
-        raise GridError("cube smaller than one grid cell")
-    i0 = _snap((cube.cx - cube.side / 2 - field.x0) / field.hx, "cube x corner")
-    j0 = _snap((cube.cw - cube.side / 2 - field.w0) / field.hw, "cube w corner")
-    return i0, j0, sx, sy
+def _cube_window(field: ScalarField2D, cube: Cube):
+    """_rect_window of the cube's closed square."""
+    h = cube.side / 2
+    return _rect_window(field, (cube.cx - h, cube.cx + h, cube.cw - h, cube.cw + h))
 
 
 def _zak_exact_omega_mean(field: ScalarField2D, i0: int, sx: int, b0: float, b1: float) -> complex:
@@ -107,7 +106,7 @@ def mean(F: ScalarField2D, cube: Cube) -> complex:
     Fields with omega band structure (Zak-derived) are integrated exactly
     in the omega direction; otherwise this is the plain cell average.
     """
-    i0, j0, sx, sy = _cube_indices(F, cube)
+    i0, j0, sx, sy = _cube_window(F, cube)
     if F.omega_modes is not None and F.extension == "quasiperiodic":
         b0 = cube.cw - cube.side / 2
         return _zak_exact_omega_mean(F, i0, sx, b0, b0 + cube.side)
@@ -117,19 +116,8 @@ def mean(F: ScalarField2D, cube: Cube) -> complex:
 def mean_oscillation(F: ScalarField2D, cube: Cube) -> float:
     """M_Q(F): cube average of |F - F_Q|, with F_Q the cell average that the
     oscillation sweep subtracts (not the exact omega mean of :func:`mean`)."""
-    i0, j0, sx, sy = _cube_indices(F, cube)
+    i0, j0, sx, sy = _cube_window(F, cube)
     return _block_stats(F.window(i0, j0, sx, sy), 0, 0, sx, sy)[1]
-
-
-def _rect_window(field: ScalarField2D, rect):
-    x0, x1, w0, w1 = rect
-    i0 = _snap((x0 - field.x0) / field.hx, "window x low")
-    i1 = _snap((x1 - field.x0) / field.hx, "window x high")
-    j0 = _snap((w0 - field.w0) / field.hw, "window w low")
-    j1 = _snap((w1 - field.w0) / field.hw, "window w high")
-    if i1 <= i0 or j1 <= j0:
-        raise ValueError("empty window")
-    return i0, j0, i1 - i0, j1 - j0
 
 
 def _prefix(values: np.ndarray) -> np.ndarray:
@@ -178,16 +166,16 @@ def _block_stats(W: np.ndarray, i: int, j: int, a: int, b: int):
 
 
 def _admissible_sides(field: ScalarField2D, ni: int, nj: int, eps: float):
-    """(side, sx, sy) triples with side^2 < eps, grid-exact in both axes."""
+    """(side, sx, sy) triples with side^2 < eps: t cells of w are sx whole
+    cells of x, that is t * nx = sx * nw."""
     out = []
     t = 1
     while True:
         side = t * field.hw
         if side * side >= eps or t > nj:
             break
-        sx_f = side / field.hx
-        sx = round(sx_f)
-        if abs(sx_f - sx) < 1e-9 and 1 <= sx <= ni:
+        sx, rem = divmod(t * field.nx, field.nw)
+        if rem == 0 and 1 <= sx <= ni:
             out.append((side, sx, t))
         t += 1
     return out
@@ -215,9 +203,7 @@ def _sup_profile(field: ScalarField2D, rect, eps_list) -> list:
             if val > best or best_cube is None:
                 best = val
                 best_cube = Cube(
-                    field.x0 + (i0 + idx[0] + sx / 2) * field.hx,
-                    field.w0 + (j0 + idx[1] + sy / 2) * field.hw,
-                    side,
+                    (i0 + idx[0] + sx / 2) * field.hx, (j0 + idx[1] + sy / 2) * field.hw, side
                 )
         out.append((best, best_cube))
     return out
@@ -292,20 +278,19 @@ def mean_function(F: ScalarField2D, r: float) -> ScalarField2D:
     reads.  r must be a multiple of both grid spacings; for an odd number
     of cells the window is anchored half a cell left of center.
     """
-    sx = _snap(r / F.hx, "r / hx")
-    sy = _snap(r / F.hw, "r / hw")
+    sx, sy = node_index(r, F.nx, "r"), node_index(r, F.nw, "r")
     if F.extension == "periodic":
         nx, nw = F.values.shape
         fx = np.fft.fftfreq(nx, d=F.hx)
         fw = np.fft.fftfreq(nw, d=F.hw)
         mult = np.sinc(fx * r)[:, None] * np.sinc(fw * r)[None, :]
         vals = np.fft.ifft2(np.fft.fft2(F.values) * mult)
-        return ScalarField2D(F.x0, F.w0, F.hx, F.hw, vals, "periodic")
+        return ScalarField2D(vals, "periodic")
     if F.extension == "quasiperiodic":
         lx, ly = sx // 2, sy // 2
         ext = F.window(-lx, -ly, F.nx + sx, F.nw + sy)
         sums = _box_sums(_prefix(ext), sx, sy)[: F.nx, : F.nw]
-        return ScalarField2D(F.x0, F.w0, F.hx, F.hw, sums / (sx * sy), "none")
+        return ScalarField2D(sums / (sx * sy), "none")
     raise GridError("mean_function needs a periodic or quasiperiodic field")
 
 

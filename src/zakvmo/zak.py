@@ -19,7 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import GridError, SampledFunction, ScalarField2D, fourier_transform, tf_shift
+from .core import (
+    GridError, SampledFunction, ScalarField2D, fourier_transform, node_index, tf_shift,
+)
 
 
 class AliasingError(ValueError):
@@ -46,23 +48,7 @@ def zak_transform(f: SampledFunction, nx: int, nw: int) -> ScalarField2D:
     seq = f.values.reshape(f.n_cells, s)[:, ::step].T  # (nx, n_cells)
     kvec = np.arange(f.k_min, f.k_max)
     phases = np.exp(-2j * np.pi * np.outer(kvec, np.arange(nw) / nw))
-    return ScalarField2D(
-        0.0, 0.0, 1.0 / nx, 1.0 / nw, seq @ phases, "quasiperiodic", (f.k_min, f.k_max)
-    )
-
-
-def node_index(val, n: int, what: str) -> int:
-    """Integer index of ``val`` on the 1/n grid; GridError when it is off-node."""
-    if isinstance(val, (int, Fraction)):
-        t = Fraction(val) * n
-        if t.denominator != 1:
-            raise GridError(f"{what} = {val} is not on the 1/{n} grid")
-        return int(t)
-    t = float(val) * n
-    r = round(t)
-    if abs(t - r) > 1e-9:
-        raise GridError(f"{what} = {val} is not on the 1/{n} grid")
-    return int(r)
+    return ScalarField2D(seq @ phases, "quasiperiodic", (f.k_min, f.k_max))
 
 
 def zak_extend(Z: ScalarField2D, x, w) -> complex:
@@ -73,11 +59,6 @@ def zak_extend(Z: ScalarField2D, x, w) -> complex:
     interpolating.
     """
     return complex(Z.at(node_index(x, Z.nx, "x"), node_index(w, Z.nw, "w")))
-
-
-def rolled(Z: ScalarField2D, dj: int, dm: int) -> np.ndarray:
-    """Full-grid values of Zf(x - dj/nx, w - dm/nw) with extension phases."""
-    return Z.window(-dj, -dm, Z.nx, Z.nw)
 
 
 def inverse_zak(Z: ScalarField2D, support) -> SampledFunction:
@@ -151,7 +132,7 @@ def check_zak_identities(f: SampledFunction, Z: ScalarField2D) -> ZakIdentityRep
     u, eta = Fraction(1, 2), Fraction(1, 4)
     du, de = node_index(u, n, "u"), node_index(eta, m, "eta")
     lhs = zak_transform(tf_shift(f, (float(u), float(eta))), n, m).values
-    rhs = np.exp(2j * np.pi * float(eta) * xg)[:, None] * rolled(Z, du, de)
+    rhs = np.exp(2j * np.pi * float(eta) * xg)[:, None] * Z.window(-du, -de, n, m)
     dev_b = float(np.max(np.abs(lhs - rhs)))
 
     # (c): integer lattice shifts.

@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from zakvmo.core import embed, sample_function
+from zakvmo.core import embed, sample_function, tf_shift
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +36,19 @@ def embed_pair(f, g):
 def l2_distance(f, g):
     a, b = embed_pair(f, g)
     return float(np.linalg.norm(a - b) / np.sqrt(f.samples_per_unit))
+
+
+def lattice_gram(g, matrix, r=2):
+    """Finite-section Gram matrix of the shifts pi(lambda) g at
+    lambda = A (m, n), |m|, |n| <= r, with A = [a, b, c, d] the lattice
+    generator.  Built from grid-exact shifts with no metaplectic transport;
+    its eigenvalues lie inside the true Riesz bounds of the lattice system."""
+    a, b, c, d = (Fraction(t) for t in matrix)
+    shifts = [
+        tf_shift(g, (a * m + b * n, c * m + d * n))
+        for m in range(-r, r + 1)
+        for n in range(-r, r + 1)
+    ]
+    lo, hi = min(f.k_min for f in shifts), max(f.k_max for f in shifts)
+    V = np.array([embed(f, lo, hi).values for f in shifts])
+    return V.conj() @ V.T / g.samples_per_unit

@@ -94,7 +94,7 @@ def test_c04_sinc_mean_identity():
 
     for M1, M2, r in ((1, 0, 0.25), (2, 3, 0.125), (0, 5, 1 / 16)):
         F = field_from_function(
-            lambda x, w: np.exp(2j * np.pi * (M1 * x + M2 * w)), (0, 1, 0, 1), 64, 64, "periodic"
+            lambda x, w: np.exp(2j * np.pi * (M1 * x + M2 * w)), 64, 64, "periodic"
         )
         out = mean_function(F, r)
         target = np.sinc(M1 * r) * np.sinc(M2 * r) * F.values
@@ -195,7 +195,7 @@ def test_c08_transfer_matrix_identities(rng):
     assert res.plain_conjugation_residual < 1e-10
     assert res.det_periodicity < 1e-10
 
-    H = ScalarField2D(0, 0, 1 / S, 1 / S, rep.f_field[0], "periodic")
+    H = ScalarField2D(rep.f_field[0], "periodic")
     assert product_relation_residual(H, u, 0, 2, 0, -1) < 1e-10
     assert divisibility_check(1, 1, 2, 0, -1) is False
     for m, n in ((1, 0), (2, -1), (0, 3)):

@@ -4,8 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from conftest import lattice_gram
 from zakvmo import gabor, metaplectic, zak
-from zakvmo.cli import main, write_csv
+from zakvmo.cli import DEFAULT_CONFIG, build_generator, build_system, main, write_csv
+
+# The lattice generators of the perfbench transport workload.
+MATRICES = (["2", "1", "0", "1"], ["2", "0", "1", "1"], ["3", "1", "1", "1"], ["1", "1", "-1", "1"])
 
 
 def write_config(tmp_path, **overrides):
@@ -127,6 +131,9 @@ class TestSubcommands:
         reduction = summary["reduction"]
         witness = load("vmo", "vmo_witness.json")
         assert riesz["reduction"] == inv["reduction"] == witness["reduction"] == reduction
+        # analyze's riesz.json and invariance.json carry the same reduction log
+        assert load("analyze", "riesz.json")["reduction"] == reduction
+        assert analyzed["reduction"] == reduction
         assert reduction["shift_image"] == [inv["u"], inv["eta"]]
         assert witness["s_values"] == summary["vmo_profile"]["s_values"]
 
@@ -245,6 +252,43 @@ class TestSubcommands:
         assert json.loads((out / "invariance.json").read_text())["verdict"] == "invariant"
 
 
+def matrix_riesz(recipe, matrix, S):
+    """(untransported generator, RieszReport of the transported system) of a
+    `matrix` config, as `riesz` and `analyze` compute it."""
+    cfg = dict(DEFAULT_CONFIG, recipe=recipe, S=S, nx=S, nw=S, matrix=matrix)
+    g, lat, _, _ = build_system(cfg)
+    return build_generator(cfg), gabor.riesz_bounds(g, lat, S, S)
+
+
+class TestMatrixRieszOracle:
+    """The Riesz bounds of a `matrix` lattice against a finite-section Gram
+    matrix built without the metaplectic transport."""
+
+    @pytest.mark.parametrize("S", [32, 64])
+    @pytest.mark.parametrize("matrix", MATRICES, ids="".join)
+    def test_gaussian_gram_spectrum_inside_bounds(self, matrix, S):
+        g, rep = matrix_riesz("gaussian", matrix, S)
+        eig = np.linalg.eigvalsh(lattice_gram(g, matrix))
+        assert rep.a_est <= eig[0] and eig[-1] <= rep.b_est
+
+    @pytest.mark.parametrize("matrix", MATRICES, ids="".join)
+    def test_box_gram_is_identity(self, matrix):
+        # A Z^2 lies in Z x Z, where the box's time-frequency shifts are
+        # orthonormal: a = b = 1
+        G = lattice_gram(build_generator(dict(DEFAULT_CONFIG, recipe="box", S=32)), matrix)
+        assert np.max(np.abs(G - np.eye(len(G)))) < 1e-12
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: the reduction's two quadrature Fourier steps blur the box's "
+        "jumps (a_est/b_est = 0.4976/1.2186 at S = 32 on [2,1,0,1])",
+    )
+    @pytest.mark.parametrize("matrix", MATRICES, ids="".join)
+    def test_box_riesz_bounds_are_one(self, matrix):
+        _, rep = matrix_riesz("box", matrix, 32)
+        assert abs(rep.a_est - 1) <= 1e-12 and abs(rep.b_est - 1) <= 1e-12
+
+
 class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path), "zak"]) == 2
@@ -268,10 +312,11 @@ class TestExitCodes:
             ("vmo", {"window": [0.0, 1.0, 0.0]}),
             ("zak", {"Nx": 8}),
             ("zak", {"seed": 5}),
+            ("vmo", {"window": [0.0, 1.00000001, 0.0, 1.0]}),
         ],
         ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
              "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key",
-             "seed-key"],
+             "seed-key", "off-grid-window"],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)

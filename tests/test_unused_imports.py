@@ -1,11 +1,12 @@
 """Every name a ``zakvmo`` module, a test file or a ``perfbench`` script
-imports is used in it, and every private module-level function or class of
-a ``zakvmo`` module is used in that module.
+imports is used in it, every private module-level function or class of a
+``zakvmo`` module is used in that module, and every public one is read
+somewhere in ``src/``, ``tests/`` or ``perfbench/``.
 
 No linter is a dependency, so this parses each source file with ``ast``
-and compares the names its imports and private definitions bind with the
-names it reads.  The package ``__init__.py`` is skipped: its imports are
-the re-exported API.
+and compares the names its imports and definitions bind with the names it
+reads.  The package ``__init__.py`` is skipped: its imports are the
+re-exported API, so they neither need a use nor count as a read.
 """
 
 import ast
@@ -55,6 +56,34 @@ def unused_private_defs(source: str) -> list[str]:
     return unused
 
 
+def read_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read in tree, bare or as an attribute, outside the node skip."""
+    inside = {id(n) for n in ast.walk(skip)} if skip is not None else set()
+    names = set()
+    for n in ast.walk(tree):
+        if id(n) in inside:
+            continue
+        if isinstance(n, ast.Name):
+            names.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            names.add(n.attr)
+    return names
+
+
+def unread_public_defs(source: str, other_sources) -> list[str]:
+    """Module-level public functions and classes of source that neither the
+    module outside their own definition nor any of other_sources reads."""
+    tree = ast.parse(source)
+    elsewhere = set().union(*(read_names(ast.parse(s)) for s in other_sources))
+    return [
+        f"line {node.lineno}: {node.name}"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in elsewhere | read_names(tree, skip=node)
+    ]
+
+
 def test_checker_flags_unused_and_keeps_used():
     src = "import io\nimport os\nfrom a import b as c, d\n\ndef f(x: d):\n    return os.sep\n"
     assert unused_imports(src) == ["line 1: io", "line 3: c"]
@@ -78,3 +107,20 @@ def test_private_checker_flags_dead_helpers():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_private_helpers(path):
     assert unused_private_defs(path.read_text()) == []
+
+
+def test_public_checker_flags_unread_defs():
+    src = (
+        "def read_here():\n    return 1\n\n"
+        "def read_there():\n    return read_here()\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Unread:\n    pass\n"
+    )
+    other = "import m\n\nm.read_there()\n"
+    assert unread_public_defs(src, [other]) == ["line 7: recursive", "line 10: Unread"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_public_defs(path):
+    others = [p.read_text() for p in FILES if p != path]
+    assert unread_public_defs(path.read_text(), others) == []

@@ -21,7 +21,7 @@ from zakvmo.zak import zak_transform
 
 
 def const_field(c, n=64, extension="periodic"):
-    return ScalarField2D(0.0, 0.0, 1.0 / n, 1.0 / n, np.full((n, n), c, dtype=complex), extension)
+    return ScalarField2D(np.full((n, n), c, dtype=complex), extension)
 
 
 class TestMean:
@@ -35,7 +35,7 @@ class TestMean:
         # two 1-D discrete means, which we compute directly
         n, M1, M2 = 128, 2, -3
         F = field_from_function(
-            lambda x, w: np.exp(2j * np.pi * (M1 * x + M2 * w)), (0, 1, 0, 1), n, n, "periodic"
+            lambda x, w: np.exp(2j * np.pi * (M1 * x + M2 * w)), n, n, "periodic"
         )
         cube = Cube(0.5, 0.25, 0.25)
         got = mean(F, cube)
@@ -65,6 +65,11 @@ class TestMean:
         with pytest.raises(GridError):
             mean(F, Cube(0.5, 0.5, 0.013))
 
+    def test_near_grid_cube_rejected(self):
+        # a corner 6.4e-7 cells off the grid is off it, not rounded onto it
+        with pytest.raises(GridError):
+            mean(const_field(1.0), Cube(0.5 + 1e-8, 0.5, 0.25))
+
 
 class TestMeanOscillation:
     def test_constant_is_zero(self):
@@ -79,13 +84,13 @@ class TestMeanOscillation:
     def test_step_field(self):
         n = 64
         F = field_from_function(
-            lambda x, w: np.where(x < 0.5, -1.0, 1.0) + 0 * w, (0, 1, 0, 1), n, n, "periodic"
+            lambda x, w: np.where(x < 0.5, -1.0, 1.0) + 0 * w, n, n, "periodic"
         )
         assert mean_oscillation(F, Cube(0.5, 0.5, 0.5)) == pytest.approx(1.0, abs=1e-13)
 
     def test_shift_invariance_exact(self, rng):
         F = random_trig_field(rng, 64, 64)
-        G = ScalarField2D(F.x0, F.w0, F.hx, F.hw, F.values + (5.0 - 2j), "periodic")
+        G = ScalarField2D(F.values + (5.0 - 2j), "periodic")
         c = Cube(0.25, 0.75, 0.125)
         assert mean_oscillation(F, c) == pytest.approx(mean_oscillation(G, c), abs=1e-12)
 
@@ -115,7 +120,7 @@ class TestOscSupremum:
     def test_subadditivity(self, rng):
         F = random_trig_field(rng, 64, 64)
         G = random_trig_field(rng, 64, 64)
-        H = ScalarField2D(F.x0, F.w0, F.hx, F.hw, F.values + G.values, "periodic")
+        H = ScalarField2D(F.values + G.values, "periodic")
         eps = 0.01
         sF = osc_supremum(F, (0, 1, 0, 1), eps)
         sG = osc_supremum(G, (0, 1, 0, 1), eps)
@@ -132,7 +137,7 @@ class TestMeanFunction:
         for M1, M2, r in ((1, 0, 0.25), (2, 3, 0.125), (0, 5, 1 / 16)):
             n = 64
             F = field_from_function(
-                lambda x, w: np.exp(2j * np.pi * (M1 * x + M2 * w)), (0, 1, 0, 1), n, n, "periodic"
+                lambda x, w: np.exp(2j * np.pi * (M1 * x + M2 * w)), n, n, "periodic"
             )
             out = mean_function(F, r)
             target = np.sinc(M1 * r) * np.sinc(M2 * r) * F.values
@@ -148,7 +153,7 @@ class TestMeanFunction:
         n = 64
         F = field_from_function(
             lambda x, w: np.exp(2j * np.pi * (2 * x - 4 * w)) + 0.5 * np.exp(2j * np.pi * (4 * x + 8 * w)),
-            (0, 1, 0, 1), n, n, "periodic",
+            n, n, "periodic",
         )
         out = mean_function(F, 0.125).values
         assert np.max(np.abs(out - np.roll(out, n // 2, axis=0))) < 1e-12
@@ -163,6 +168,8 @@ class TestMeanFunction:
     def test_incompatible_r(self):
         with pytest.raises(GridError):
             mean_function(const_field(1.0), 0.013)
+        with pytest.raises(GridError):
+            mean_function(const_field(1.0), 0.125 + 1e-8)  # 6.4e-7 cells off
 
 
 class TestDecayProfiles:
