@@ -15,6 +15,7 @@ values the pipelines reject) exits 2 with a message on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -170,11 +171,15 @@ def write_report(path: str, rep, config_hash: str, reduction: dict | None = None
 
 
 def write_csv(path: str, config_hash: str, header, columns) -> None:
-    """Write equal-length columns under a config line and a header row;
-    every cell is repr(float), so values round-trip exactly."""
-    cols = [np.asarray(c, dtype=float).ravel().tolist() for c in columns]
-    lines = [f"# config {config_hash}", ",".join(header)]
-    lines += [",".join(map(repr, row)) for row in zip(*cols)]
+    """Write equal-length columns under a config line and a header row; every
+    cell is repr(float), run once per distinct bit pattern of a column."""
+    cells = []
+    for c in columns:
+        col = np.asarray(c, dtype=float).ravel()
+        bits, inv = np.unique(col.view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in bits.view(float).tolist()], dtype=object)
+        cells.append(text[inv].tolist())
+    lines = [f"# config {config_hash}", ",".join(header), *map(",".join, zip(*cells))]
     atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -465,7 +470,8 @@ def cmd_proptest(cfg: dict, args) -> int:
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zakvmo",
         description="Zak / Gabor / VMO analysis pipelines",
@@ -480,7 +486,11 @@ def main(argv=None) -> int:
     pt = sub.add_parser("proptest")
     pt.add_argument("suite")
     pt.add_argument("--cases", type=int, default=1000)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     handlers = {
         "zak": cmd_zak,

@@ -136,7 +136,9 @@ class ScalarField2D:
         if self.extension == "periodic":
             return self.values[np.mod(ix, nx), mm]
         wrap = ix // nx
-        return np.exp(2j * np.pi * (wrap * (mm / nw))) * self.values[ix - wrap * nx, mm]
+        wraps, row = np.unique(wrap, return_inverse=True)  # one phase row per wrap
+        phase = np.exp(2j * np.pi * (wraps[:, None] * (np.arange(nw) / nw)))
+        return phase[row.reshape(wrap.shape), mm] * self.values[ix - wrap * nx, mm]
 
     def window(self, i0: int, j0: int, ni: int, nj: int) -> np.ndarray:
         """Values for the global index ranges [i0,i0+ni) x [j0,j0+nj)."""

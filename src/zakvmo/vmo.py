@@ -354,6 +354,7 @@ class _TrigPoly2:
     """Small trigonometric polynomial evaluable anywhere (for pullbacks)."""
 
     def __init__(self, rng, degree: int = 2, scale: float = 1.0, real: bool = False):
+        self.degree = degree
         ks = np.arange(-degree, degree + 1)
         A, B = np.meshgrid(ks, ks, indexing="ij")
         self.a = A.ravel().astype(float)
@@ -367,7 +368,10 @@ class _TrigPoly2:
         shape = np.broadcast(np.asarray(x, float), np.asarray(w, float)).shape
         xs = np.broadcast_to(np.asarray(x, float), shape).ravel()
         ws = np.broadcast_to(np.asarray(w, float), shape).ravel()
-        return np.exp(2j * np.pi * (np.outer(xs, self.a) + np.outer(ws, self.b))), shape
+        # e^{2 pi i (a x + b w)} = z_x^a z_w^b: powers k = 0..d, z^-k = conj(z^k)
+        zx, zw = (np.exp(2j * np.pi * t)[:, None] ** np.arange(self.degree + 1) for t in (xs, ws))
+        zx, zw = (np.concatenate([z[:, :0:-1].conj(), z], axis=1) for z in (zx, zw))
+        return (zx[:, :, None] * zw[:, None, :]).reshape(len(xs), -1), shape
 
     def __call__(self, x, w):
         ph, shape = self._phases(x, w)

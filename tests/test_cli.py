@@ -42,6 +42,26 @@ def test_write_csv_exact_bytes(tmp_path):
     assert path.read_bytes() == b"# config beef\na,b\n0.30000000000000004,-0.0\n1.0,2.5\n"
 
 
+def test_write_csv_matches_row_wise_repr(tmp_path):
+    # the per-column dedupe writes the bytes of repr on every cell, row by
+    # row: signed zeros, nan, infinities, tiny and huge values and repeats
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 1e-5, 1e16, 0.1 + 0.2, 2.5, -0.0, 1e-5]
+    rng = np.random.default_rng(5)
+    cols = [
+        np.array(special * 3),
+        rng.choice(special, size=33),
+        np.repeat(np.arange(11) / 7, 3),
+        np.arange(33).reshape(3, 11).T,  # an integer column, read in C order
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(str(path), "cafe", ("a", "b", "c", "d"), cols)
+    flat = [np.asarray(c, dtype=float).ravel().tolist() for c in cols]
+    rows = [",".join(map(repr, row)) for row in zip(*flat)]
+    expected = "\n".join(["# config cafe", "a,b,c,d", *rows]) + "\n"
+    assert path.read_text() == expected
+    assert "-0.0" in expected and "nan" in expected and "-inf" in expected
+
+
 class TestSubcommands:
     def test_zak_outputs(self, tmp_path):
         cfg = write_config(tmp_path, recipe="box", support=[0, 1])
@@ -168,6 +188,28 @@ class TestSubcommands:
         cfg = write_config(tmp_path)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
         assert calls == offsets
+
+    @pytest.mark.parametrize("command", ["analyze", "invariance"])
+    @pytest.mark.parametrize("P, Q", [(2, 1), (3, 2)])
+    def test_one_qr_per_lattice_run(self, tmp_path, monkeypatch, command, P, Q):
+        # the Riesz scan factors the blocks once; the invariance solve reuses
+        # the factors, and the singular values come from R without an SVD
+        calls = {"qr": 0, "svd": 0, "solve": 0}
+
+        def counted(name):
+            real = getattr(np.linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counted(name))
+        cfg = write_config(tmp_path, lattice={"P": P, "Q": Q}, S=48, nx=48, nw=48)
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
+        assert calls == {"qr": 1, "svd": 0, "solve": 0}
 
     @pytest.mark.parametrize("command", ["zak", "metaplectic"])
     def test_identity_checks_share_the_zak_grid(self, tmp_path, monkeypatch, command):

@@ -9,6 +9,7 @@ from zakvmo.core import GridError, ScalarField2D, sample_function, tf_shift
 from zakvmo.gabor import (
     RieszFailureError,
     SeparableLattice,
+    _qr_sigma,
     coefficient_recovery,
     divisibility_check,
     fertig_residual,
@@ -125,6 +126,42 @@ class TestRieszBounds:
         z = sample_function(("table", np.zeros(64)), (0, 1), 64)
         with pytest.raises(ValueError):
             riesz_bounds(z, LAT11, 64, 64)
+
+    @pytest.mark.parametrize("P, Q", [(1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (1, 2), (2, 3)])
+    def test_qr_singular_values_match_svd_oracle(self, rng, P, Q):
+        # random complex blocks, blocks with a zero column, rank-one blocks,
+        # condition numbers 1 .. 1e8 and an all-zero block, against a full
+        # SVD of each block
+        n, k = 64, min(P, Q)
+        blocks = rng.standard_normal((4 * n, P, Q)) + 1j * rng.standard_normal((4 * n, P, Q))
+        blocks[n : 2 * n, :, 0] = 0
+        blocks[2 * n : 3 * n] = blocks[2 * n : 3 * n, :, :1] @ blocks[2 * n : 3 * n, :1, :]
+        for i, kappa in enumerate(np.logspace(0, 8, n)):
+            U, _, Vh = np.linalg.svd(blocks[3 * n + i], full_matrices=False)
+            blocks[3 * n + i] = (U * np.logspace(0, -np.log10(kappa), k)) @ Vh
+        blocks[-1] = 0
+        _, _, smax, smin = _qr_sigma(blocks)
+        sv = np.linalg.svd(blocks, compute_uv=False)
+        tol = 1e-12 * sv[:, 0]
+        assert np.all(np.abs(smax - sv[:, 0]) <= tol)
+        assert np.all(np.abs(smin - sv[:, -1]) <= tol)
+
+    def test_dlas2_branches_match_svd_oracle(self):
+        # each branch of dlas2 on [[f, g], [0, h]], which is its own R: f = h
+        # = 0, one zero diagonal entry, g below and above the larger diagonal
+        # entry, and g so large that max(f, h) / g underflows to zero
+        fgh = np.array([
+            (0.0, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 3.0, 4.0), (4.0, 3.0, 0.0), (2.0, 0.0, 0.0),
+            (2.0, 0.0, 3.0), (5.0, 3.0, 2.0), (3.0, 5.0, 2.0), (2.0, 2.0, 2.0), (1e-8, 1.0, 1e-8),
+            (1e-300, 1e300, 2e-300),
+        ])
+        blocks = np.array([[[f, g], [0.0, h]] for f, g, h in fgh], dtype=complex)
+        _, R, smax, smin = _qr_sigma(blocks)
+        assert np.array_equal(R, blocks)
+        sv = np.linalg.svd(blocks, compute_uv=False)
+        tol = 1e-15 * sv[:, 0]
+        assert np.all(np.abs(smax - sv[:, 0]) <= tol)
+        assert np.all(np.abs(smin - sv[:, 1]) <= tol)
 
     def test_bounded_inequality_random_vectors(self, gauss64, rng):
         # P A ||xi||^2 <= ||A xi||^2 <= P B ||xi||^2 at random nodes

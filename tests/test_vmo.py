@@ -6,6 +6,7 @@ import pytest
 from zakvmo.core import GridError, ScalarField2D, sample_function
 from zakvmo.vmo import (
     Cube,
+    _TrigPoly2,
     check_inequalities,
     field_from_function,
     mean,
@@ -227,6 +228,18 @@ class TestInequalities:
         assert rep.results["mean_lower_bound"].precondition_ok
         assert rep.results["inverse_osc_sup"].precondition_ok
         assert rep.passed()
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3])
+    def test_trig_phases_match_one_exp_per_mode(self, rng, degree):
+        # the power table agrees with e^{2 pi i (a x + b w)} evaluated mode by mode
+        p = _TrigPoly2(rng, degree=degree)
+        x = rng.uniform(-3, 3, size=(40, 1))
+        w = rng.uniform(-3, 3, size=(1, 30))
+        ph, shape = p._phases(x, w)
+        xs, ws = np.broadcast_arrays(x, w)
+        oracle = np.exp(2j * np.pi * (np.outer(xs.ravel(), p.a) + np.outer(ws.ravel(), p.b)))
+        assert shape == (40, 30)
+        assert np.max(np.abs(ph - oracle)) <= 1e-13
 
     def test_prods_constant_matches_pair_bound(self):
         # for two factors the telescoped constant reduces to the pair bound

@@ -86,6 +86,17 @@ class TestZakExtend:
         with pytest.raises(GridError):
             zak_extend(Z, 0.013, 0.0)
 
+    @pytest.mark.parametrize("i0, j0", [(0, 0), (-64, 5), (-150, -70), (37, 200)])
+    def test_phase_table_is_bit_identical_to_one_exp_per_node(self, gauss64, i0, j0):
+        # the window reads one phase row per wrap; the oracle evaluates
+        # e^{2 pi i m w} at every node, as the extension law is written
+        Z = zak_transform(gauss64, 64, 64)
+        ix = np.arange(i0, i0 + 144)[:, None]
+        iw = np.arange(j0, j0 + 144)[None, :]
+        wrap, mm = ix // 64, np.mod(iw, 64)
+        oracle = np.exp(2j * np.pi * (wrap * (mm / 64))) * Z.values[ix - wrap * 64, mm]
+        assert np.array_equal(Z.window(i0, j0, 144, 144), oracle)
+
 
 class TestInverseZak:
     def test_constant_gives_unit_box(self, box64):
