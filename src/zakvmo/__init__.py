@@ -23,7 +23,7 @@ from .metaplectic import MetaplecticChain, apply_generator, apply_metaplectic, c
 from .symplectic import GeneratorStep, RationalMatrix2, lattice_density, lattice_reduce, sl2_factorize
 from .uncertainty import DivergenceSweep, MomentSpec, feichtinger_norm_estimate, gagliardo_seminorm, uncertainty_product, weighted_moment
 from .vmo import Cube, OscillationReport, check_inequalities, mean, mean_function, mean_oscillation, osc_supremum, vmo_decay_profile
-from .zak import AliasingError, check_zak_identities, inverse_zak, zak_extend, zak_transform
+from .zak import AliasingError, check_zak_identities, inverse_zak, zak_transform
 
 __version__ = "0.1.0"
 

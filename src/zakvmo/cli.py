@@ -249,23 +249,24 @@ def cmd_vmo(cfg: dict, args) -> int:
 
 def cmd_analyze(cfg: dict, args) -> int:
     """Reduce the lattice, transport the generator metaplectically, then run
-    the Riesz / invariance / oscillation-profile pipeline on the result."""
+    the Riesz / invariance / oscillation-profile pipeline on the result.
+    Every stage runs before the first file is written, so a failed run
+    writes nothing."""
     g, lat, (u, eta), reduction = build_system(cfg)
-    h = config_hash(cfg)
-    log = {"schema": 1, "config": h}
-    if reduction is not None:
-        log["reduction"] = reduction
-        write_json(_out(args, "summary.json"), log)  # reduction log first
     riesz_rep = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
-    write_report(_out(args, "riesz.json"), riesz_rep, h, reduction)
     inv_rep = gabor.invariance_solve(riesz_rep, u, eta, float(cfg["tol"]))
-    write_report(_out(args, "invariance.json"), inv_rep, h, reduction)
     prof = vmo.vmo_decay_profile(
         riesz_rep.zak, tuple(cfg["window"]), list(cfg["eps_list"]),
         float(cfg["vmo_floor"]),
     )
+    h = config_hash(cfg)
+    write_report(_out(args, "riesz.json"), riesz_rep, h, reduction)
+    write_report(_out(args, "invariance.json"), inv_rep, h, reduction)
     write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (prof.eps_list, prof.s_values))
 
+    log = {"schema": 1, "config": h}
+    if reduction is not None:
+        log["reduction"] = reduction
     log["riesz"] = {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est}
     log["invariance"] = {"max_residual": inv_rep.max_residual, "verdict": inv_rep.verdict}
     log["vmo_profile"] = prof.as_dict()

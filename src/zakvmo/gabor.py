@@ -6,7 +6,10 @@ The central object is the P-by-Q matrix field
 
 whose uniform singular-value bounds characterize the Riesz-sequence
 property: P*A ||xi||^2 <= ||A(x,w) xi||^2 <= P*B ||xi||^2 at almost every
-node.  On top of it sit the least-squares solve for an additional
+node.  It obeys A(x + 1/P, w) = Pi(w) A(x, w) with a unitary Pi(w), so it,
+the invariance solution and the transfer matrix are kept on the period
+rectangle x < 1/P only, each as a stack of blocks indexed by node (x, w).
+On top of it sit the least-squares solve for an additional
 time-frequency shift invariance, the recovery of expansion coefficients as
 2-D Fourier coefficients, the Q-by-Q transfer matrix built from the shift
 matrix R(w), and the N-step product relation whose exponent must satisfy
@@ -52,43 +55,38 @@ class SeparableLattice:
         if self.P < 1 or self.Q < 1:
             raise ValueError("P and Q must be positive integers")
 
-    @property
-    def density(self) -> Fraction:
-        return Fraction(self.Q, self.P)
-
     def require_coprime(self):
         if math.gcd(self.P, self.Q) != 1:
             raise ValueError(f"P={self.P} and Q={self.Q} must be coprime here")
 
 
 def zz_matrix(Zg: ScalarField2D, lat: SeparableLattice, du: int = 0, de: int = 0) -> np.ndarray:
-    """A(x - du/nx, w - de/nw) at every node of [0,1)^2, from quasi-periodically
-    extended Zak samples; shape (P, Q, nx, nw).
+    """A(x - du/nx, w - de/nw) at the nodes x < 1/P of the period rectangle,
+    read from quasi-periodically extended Zak samples, as a stack of P x Q
+    blocks of shape (nx // P, nw, P, Q).
 
-    The singular values repeat with period 1/P in x, so the period
-    rectangle (0, 1/P) x (0, 1) is the slice ``[:, :, :nx // P]``.
+    A(x + 1/P, w) = Pi(w) A(x, w), where the unitary Pi(w) moves row k to
+    row k + 1 and the last row, times e^{2 pi i w}, to row 0: the rectangle
+    settles every question the chain asks of A.
     """
     n, nw = Zg.nx, Zg.nw
     P, Q = lat.P, lat.Q
     if n % P != 0 or n % Q != 0:
         raise GridError(f"nx = {n} must be divisible by lcm(P, Q) = {math.lcm(P, Q)}")
-    A = np.empty((P, Q, n, nw), dtype=np.complex128)
-    for k in range(P):
-        for ell in range(Q):
-            A[k, ell] = Zg.window(-(du + k * n // P + ell * n // Q), -de, n, nw)
-    return A
+    J = n // P
+    ix = np.arange(J)[:, None, None, None] - du - np.arange(P)[:, None] * J - np.arange(Q) * (n // Q)
+    return Zg.at(ix, np.arange(nw)[:, None, None] - de)
 
 
 def shift_matrix(Q: int, w: np.ndarray) -> np.ndarray:
     """R(w): ones on the subdiagonal, e^{-2 pi i w} in the top-right corner.
 
-    Returns shape (Q, Q) + w.shape; unitary for every w.
+    Returns the stack of blocks of shape w.shape + (Q, Q); unitary for every w.
     """
     w = np.asarray(w, dtype=float)
-    R = np.zeros((Q, Q) + w.shape, dtype=np.complex128)
-    for k in range(1, Q):
-        R[k, k - 1] = 1.0
-    R[0, Q - 1] = np.exp(-2j * np.pi * w)
+    R = np.zeros(w.shape + (Q, Q), dtype=np.complex128)
+    R[..., np.arange(1, Q), np.arange(Q - 1)] = 1.0
+    R[..., 0, Q - 1] = np.exp(-2j * np.pi * w)
     return R
 
 
@@ -126,8 +124,9 @@ def _qr_sigma(mats: np.ndarray):
 @dataclass(eq=False)
 class RieszReport:
     """Scanned singular-value bounds of the lattice matrix field, with what
-    later stages reuse: the Zak grid, the (P, Q, nx, nw) field A, and ``qr``,
-    the QR factors of A's period-rectangle blocks in C order (``_qr_sigma``)."""
+    later stages reuse: the Zak grid, the (nx // P, nw, P, Q) field A of
+    :func:`zz_matrix`, and ``qr``, the QR factors of its blocks in C order
+    (``_qr_sigma``)."""
 
     a_est: float
     b_est: float
@@ -162,17 +161,17 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
     """Estimate the Riesz bounds by a singular-value scan over the grid.
 
     A_est = min sigma_min(A)^2 / P and B_est = max sigma_max(A)^2 / P over
-    the period rectangle, from one QR; for P < Q A has a kernel and A_est = 0.
+    the blocks of the period rectangle, from one QR; for P < Q A has a kernel
+    and A_est = 0.  ``sigma_min`` and ``sigma_max`` are (nx // P, nw) arrays.
     """
     if not np.any(g.values):
         raise ValueError("generator is identically zero")
     Zg = zak_transform(g, nx, nw)
     A = zz_matrix(Zg, lat)
     P, Q = lat.P, lat.Q
-    nxf = Zg.nx // P
-    Qm, Rm, smax, smin = _qr_sigma(A[:, :, :nxf].transpose(2, 3, 0, 1).reshape(-1, P, Q))
-    smax = smax.reshape(nxf, Zg.nw)
-    smin = smin.reshape(nxf, Zg.nw) if P >= Q else np.zeros_like(smax)
+    Qm, Rm, smax, smin = _qr_sigma(A.reshape(-1, P, Q))
+    smax = smax.reshape(A.shape[:2])
+    smin = smin.reshape(A.shape[:2]) if P >= Q else np.zeros_like(smax)
     b_est = float(smax.max() ** 2 / P)
     a_est = float(smin.min() ** 2 / P)
     imin = np.unravel_index(np.argmin(smin), smin.shape)
@@ -180,8 +179,8 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
     return RieszReport(
         a_est=a_est,
         b_est=b_est,
-        argmin=(imin[0] / (nxf * P), imin[1] / Zg.nw),
-        argmax=(imax[0] / (nxf * P), imax[1] / Zg.nw),
+        argmin=(imin[0] / Zg.nx, imin[1] / Zg.nw),
+        argmax=(imax[0] / Zg.nx, imax[1] / Zg.nw),
         sigma_min=smin,
         sigma_max=smax,
         P=P,
@@ -289,7 +288,7 @@ class InvarianceReport:
     verdict: str  # invariant | not-invariant | inconclusive
     coeffs: dict
     parseval_tail: float
-    f_field: np.ndarray  # (Q, nx, nw)
+    f_field: np.ndarray  # (Q, nx // P, nw), on the period rectangle
     riesz: RieszReport
     u: Fraction
     eta: Fraction
@@ -322,13 +321,13 @@ def invariance_solve(riesz: RieszReport, u, eta, tol: float = 1e-6) -> Invarianc
     ``riesz``, the report of :func:`riesz_bounds`, and recomputes none of
     them.  Both sides obey the same law X(x + 1/P, w) = Pi(w) X(x, w) with a
     unitary Pi(w), so the least-squares F is 1/P-periodic in x: the solve
-    runs on the period rectangle x < 1/P only, and ``f_field`` is that
-    solution tiled P times along x.  Each node is solved with the reduced QR
-    of its P x Q block kept on ``riesz``, F = R^{-1} Q* rhs.  ``max_residual``
-    is the sup over nodes of the least-squares residual norm relative to the
-    sup of the right-hand-side norm.  Verdict bands: invariant below tol,
-    inconclusive in [tol, 10 tol), not-invariant above.  Irrational shifts are
-    rejected; pass Fractions or 'p/q' strings.
+    runs on the blocks of the period rectangle x < 1/P, and ``f_field`` is
+    the (Q, nx // P, nw) solution there.  Each node is solved with the
+    reduced QR of its P x Q block kept on ``riesz``, F = R^{-1} Q* rhs.
+    ``max_residual`` is the sup over nodes of the least-squares residual norm
+    relative to the sup of the right-hand-side norm.  Verdict bands:
+    invariant below tol, inconclusive in [tol, 10 tol), not-invariant above.
+    Irrational shifts are rejected; pass Fractions or 'p/q' strings.
     """
     u, eta = as_fraction(u), as_fraction(eta)
     lat = SeparableLattice(riesz.P, riesz.Q)
@@ -346,22 +345,14 @@ def invariance_solve(riesz: RieszReport, u, eta, tol: float = 1e-6) -> Invarianc
             f"lower Riesz bound ~ {riesz.a_est:.3g}; system is not a Riesz sequence"
         )
 
-    rhs = np.empty((P, J, nw), dtype=np.complex128)
-    xg = np.arange(J) / nx
-    for k in range(P):
-        rhs[k] = (
-            np.exp(2j * np.pi * float(eta) * xg)[:, None]
-            * np.exp(-2j * np.pi * float(eta) * k / P)
-            * Z.window(-(du + k * J), -de, J, nw)
-        )
-
-    Am = riesz.field[:, :, :J].transpose(2, 3, 0, 1).reshape(-1, P, Q)
-    bm = rhs.transpose(1, 2, 0).reshape(-1, P)
+    ix, k = np.arange(J)[:, None], np.arange(P)[:, None, None]
+    phase = np.exp(2j * np.pi * float(eta) * (ix / nx)) * np.exp(-2j * np.pi * float(eta) * k / P)
+    bm = (phase * Z.at(ix - du - k * J, np.arange(nw) - de)).reshape(P, -1).T  # (J nw, P)
     Qm, Rm = riesz.qr
     Fm = (Qm.conj().transpose(0, 2, 1) @ bm[:, :, None])[:, :, 0]
     for i in range(Q - 1, -1, -1):  # back-substitution in place; |r_ii| >= sigma_min > 0
         Fm[:, i] = (Fm[:, i] - np.sum(Rm[:, i, i + 1:] * Fm[:, i + 1:], axis=1)) / Rm[:, i, i]
-    res = (Am @ Fm[:, :, None])[:, :, 0] - bm
+    res = (riesz.field.reshape(-1, P, Q) @ Fm[:, :, None])[:, :, 0] - bm
     res_norm = np.linalg.norm(res, axis=1)
     rhs_norm = np.linalg.norm(bm, axis=1)
     max_residual = float(res_norm.max() / max(rhs_norm.max(), 1e-300))
@@ -384,7 +375,7 @@ def invariance_solve(riesz: RieszReport, u, eta, tol: float = 1e-6) -> Invarianc
         verdict=verdict,
         coeffs=coeffs,
         parseval_tail=tail,
-        f_field=np.tile(Fp, (1, P, 1)),
+        f_field=Fp,
         riesz=riesz,
         u=u,
         eta=eta,
@@ -421,37 +412,44 @@ class MMatrixResult:
     of det M from 1/Q-periodicity in x, the consequence used downstream.
     """
 
-    field: np.ndarray  # (Q, Q, nx, nw)
+    field: np.ndarray  # (nx // P, nw, Q, Q), on the period rectangle
     conjugation_residual: float
     plain_conjugation_residual: float
     det_periodicity: float
 
 
 def m_matrix(F, lat: SeparableLattice, eta) -> MMatrixResult:
-    """Build M(x,w) with columns e^{2 pi i eta l / Q} R(w)^l F(x - l/Q, w)."""
+    """Build M(x,w) with columns e^{2 pi i eta l / Q} R(w)^l F(x - l/Q, w).
+
+    ``F`` is the (Q, nx // P, nw) field of ``InvarianceReport.f_field`` on the
+    period rectangle x < 1/P.  F and M are 1/P-periodic in x, so the shift
+    by l/Q is a roll by l nx / Q rows, taken mod nx / P; ``field`` is M as a
+    stack of Q x Q blocks of the same rectangle.
+    """
     eta = as_fraction(eta)
-    vals = np.asarray(F)
-    Q, nx, nw = vals.shape
+    Fx = np.moveaxis(np.asarray(F), 0, -1)[..., None]  # (J, nw, Q, 1)
+    J, nw, Q, _ = Fx.shape
+    nx = J * lat.P
     if nx % Q != 0:
         raise GridError("nx must be divisible by Q")
-    R = shift_matrix(Q, np.arange(nw) / nw).transpose(2, 0, 1)  # (nw, Q, Q)
+    R = shift_matrix(Q, np.arange(nw) / nw)  # (nw, Q, Q)
 
-    M = np.empty((Q, Q, nx, nw), dtype=np.complex128)
-    for ell in range(Q):
-        shifted = np.roll(vals, ell * nx // Q, axis=1)  # F(x - l/Q), periodic
-        RF = np.einsum("wkj,jxw->kxw", np.linalg.matrix_power(R, ell), shifted)
-        M[:, ell] = np.exp(2j * np.pi * float(eta) * ell / Q) * RF
+    M = np.concatenate([
+        np.exp(2j * np.pi * float(eta) * ell / Q)
+        * (np.linalg.matrix_power(R, ell) @ np.roll(Fx, ell * nx // Q, axis=0))
+        for ell in range(Q)
+    ], axis=-1)
 
-    lhs = np.roll(M, nx // Q, axis=2)  # M(x - 1/Q, w)
-    conj = np.einsum("wba,bcxw,wcd->adxw", R.conj(), M, R)  # R^{-1} M R, R unitary
+    lhs = np.roll(M, nx // Q, axis=0)  # M(x - 1/Q, w)
+    conj = R.conj().swapaxes(-1, -2) @ M @ R  # R^{-1} M R, R unitary
     K = np.ones(Q, dtype=np.complex128)
     K[-1] = np.exp(2j * np.pi * float(eta))
-    rhs_corr = np.exp(-2j * np.pi * float(eta) / Q) * conj * K[None, :, None, None]
+    rhs_corr = np.exp(-2j * np.pi * float(eta) / Q) * conj * K
     rhs_plain = np.exp(-2j * np.pi / Q) * conj
     res_corr = float(np.max(np.abs(lhs - rhs_corr)))
     res_plain = float(np.max(np.abs(lhs - rhs_plain)))
 
-    det = np.linalg.det(M.transpose(2, 3, 0, 1))
+    det = np.linalg.det(M)
     det_dev = float(np.max(np.abs(det - np.roll(det, nx // Q, axis=0))))
     return MMatrixResult(M, res_corr, res_plain, det_dev)
 
@@ -459,22 +457,23 @@ def m_matrix(F, lat: SeparableLattice, eta) -> MMatrixResult:
 def fertig_residual(riesz: RieszReport, u, eta, M: MMatrixResult) -> float:
     """Sup-norm residual of A(x-u, w-eta) = e^{-2 pi i eta x} D_P^{-1} A M.
 
-    A is the field of ``riesz``, the report of :func:`riesz_bounds`; only
-    the shifted field is assembled here.
+    A is the field of ``riesz``, the report of :func:`riesz_bounds`, and M
+    the result of :func:`m_matrix`; only the shifted field is assembled
+    here.  The check runs on the period rectangle x < 1/P: the difference
+    of the two sides obeys X(x + 1/P) = Pi(w - eta) X(x) with a monomial
+    unitary Pi, so its entrywise sup there is the sup on the unit square.
     """
     u, eta = as_fraction(u), as_fraction(eta)
     Z, P = riesz.zak, riesz.P
-    n, nw = Z.nx, Z.nw
-    du = node_index(u, n, "u")
-    de = node_index(eta, nw, "eta")
+    du = node_index(u, Z.nx, "u")
+    de = node_index(eta, Z.nw, "eta")
     Ashift = zz_matrix(Z, SeparableLattice(P, riesz.Q), du, de)
-    xg = np.arange(n) / n
+    xg = np.arange(len(Ashift)) / Z.nx
     dp_inv = np.exp(2j * np.pi * float(eta) * np.arange(P) / P)
-    prod = np.einsum("pqxw,qrxw->prxw", riesz.field, M.field)
     rhs = (
-        np.exp(-2j * np.pi * float(eta) * xg)[None, None, :, None]
-        * dp_inv[:, None, None, None]
-        * prod
+        np.exp(-2j * np.pi * float(eta) * xg)[:, None, None, None]
+        * dp_inv[:, None]
+        * (riesz.field @ M.field)
     )
     return float(np.max(np.abs(Ashift - rhs)))
 

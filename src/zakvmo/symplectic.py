@@ -74,13 +74,6 @@ class RationalMatrix2:
     def to_csv(self) -> str:
         return ",".join(format_fraction(q) for q in (self.a, self.b, self.c, self.d))
 
-    @staticmethod
-    def from_csv(text: str) -> "RationalMatrix2":
-        parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError("expected four comma-separated rational entries")
-        return RationalMatrix2(*(Fraction(p) for p in parts))
-
 
 J_MATRIX = RationalMatrix2(0, 1, -1, 0)
 
@@ -129,10 +122,6 @@ class GeneratorStep:
         if self.param is not None:
             d["param"] = format_fraction(self.param)
         return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneratorStep":
-        return GeneratorStep(d["kind"], Fraction(d["param"]) if "param" in d else None)
 
 
 def steps_matrix(steps) -> RationalMatrix2:

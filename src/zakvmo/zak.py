@@ -51,16 +51,6 @@ def zak_transform(f: SampledFunction, nx: int, nw: int) -> ScalarField2D:
     return ScalarField2D(seq @ phases, "quasiperiodic", (f.k_min, f.k_max))
 
 
-def zak_extend(Z: ScalarField2D, x, w) -> complex:
-    """Evaluate the quasi-periodic extension at a single node (x, w).
-
-    Both coordinates must lie on grid nodes modulo 1 (pass Fractions for
-    exact queries); off-node queries raise GridError rather than
-    interpolating.
-    """
-    return complex(Z.at(node_index(x, Z.nx, "x"), node_index(w, Z.nw, "w")))
-
-
 def inverse_zak(Z: ScalarField2D, support) -> SampledFunction:
     """Recover samples from Zak values via discrete Fourier coefficients.
 

@@ -133,14 +133,14 @@ def test_c05_riesz_bounds(box64, gauss64):
 
 def test_c06_bounded_inequality_spot_check(gauss64, rng):
     rep = riesz_bounds(gauss64, LAT21, 64, 64)
-    A = zz_matrix(zak_transform(gauss64, 64, 64), LAT21)[:, :, : 64 // 2]
+    A = zz_matrix(zak_transform(gauss64, 64, 64), LAT21)
     P = 2
     for _ in range(64):
-        i = rng.integers(A.shape[2])
-        j = rng.integers(A.shape[3])
+        i = rng.integers(A.shape[0])
+        j = rng.integers(A.shape[1])
         xi = rng.standard_normal(1) + 1j * rng.standard_normal(1)
         xi /= np.linalg.norm(xi)
-        n2 = float(np.linalg.norm(A[:, :, i, j] @ xi) ** 2)
+        n2 = float(np.linalg.norm(A[i, j] @ xi) ** 2)
         assert P * rep.a_est - 1e-9 <= n2 <= P * rep.b_est + 1e-9
     print("PASS criterion 6: P A <= ||A xi||^2 <= P B at 64 random nodes and vectors")
 

@@ -228,18 +228,17 @@ class TestSubcommands:
         assert len(calls) == 5
 
     def test_analyze_reports_non_riesz_density(self, tmp_path):
-        # A = diag(1/2, 1) has density 2: the system cannot be a Riesz
-        # sequence and the pipeline reports the numerical failure, but the
-        # reduction log (P=1, Q=2, B=I) is still written first
+        # A = diag(1/2, 1) has density 2 and reduces to P=1, Q=2 with B=I:
+        # the system cannot be a Riesz sequence, and the pipeline reports the
+        # numerical failure without writing any file
         cfg = write_config(
             tmp_path, matrix=["1/2", "0", "0", "1"], shift=["1/4", "0"],
         )
+        _, _, _, reduction = build_system(json.loads(open(cfg).read()))
+        assert (reduction["P"], reduction["Q"], reduction["B"]) == (1, 2, "1/1,0/1,0/1,1/1")
         out = tmp_path / "out"
         assert main(["--config", cfg, "--out", str(out), "analyze"]) == 3
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["reduction"]["P"] == 1
-        assert summary["reduction"]["Q"] == 2
-        assert summary["reduction"]["B"] == "1/1,0/1,0/1,1/1"
+        assert not out.exists() or not any(out.iterdir())
 
     def test_box_analyze_obstruction(self, tmp_path):
         cfg = write_config(
@@ -372,6 +371,23 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize(
+        "overrides, code",
+        [
+            ({"shift": ["1/3", "0"]}, 2),
+            ({"lattice": {"P": 2, "Q": 2}}, 2),
+            ({"matrix": ["2", "1", "0", "1"], "shift": ["1/3", "0"]}, 2),
+            ({"lattice": {"P": 1, "Q": 1}}, 3),
+        ],
+        ids=["shift-off-grid", "lattice-not-coprime", "shift-image-off-grid", "no-riesz-sequence"],
+    )
+    def test_failed_analyze_writes_nothing(self, tmp_path, overrides, code):
+        # every stage runs before the first file is written
+        cfg = write_config(tmp_path, **overrides)
+        out = tmp_path / "o"
+        assert main(["--config", cfg, "--out", str(out), "analyze"]) == code
+        assert not out.exists() or not any(out.iterdir())
 
     def test_zak_unequal_grid_writes_nothing(self, tmp_path):
         # identity (d) needs nx == nw; the check runs before any file is written

@@ -30,33 +30,61 @@ LAT21 = SeparableLattice(2, 1)
 
 
 def synthetic_mode_field(lat, nx, nw, modes, rng=None):
-    """Exact F with F_l = sum c_{sQ+l,n} e^{2 pi i (n P x - s w)}."""
+    """Exact F with F_l = sum c_{sQ+l,n} e^{2 pi i (n P x - s w)} at the
+    nodes x = i / nx < 1/P of the period rectangle; shape (Q, nx // P, nw)."""
     P, Q = lat.P, lat.Q
-    x = np.arange(nx) / nx
+    x = np.arange(nx // P) / nx
     w = np.arange(nw) / nw
-    F = np.zeros((Q, nx, nw), dtype=complex)
+    F = np.zeros((Q, nx // P, nw), dtype=complex)
     for (m, n), c in modes.items():
         s, ell = divmod(m, Q)
         F[ell] += c * np.exp(2j * np.pi * (n * P * x[:, None] - s * w[None, :]))
     return F
 
 
+def unit_square_zz(Z, lat, du=0, de=0):
+    """Oracle: A(x - du/nx, w - de/nw) at every node of the unit square, one
+    ``Z.at`` read per entry (k, l); shape (nx, nw, P, Q)."""
+    n, P, Q = Z.nx, lat.P, lat.Q
+    ix, iw = np.arange(n)[:, None] - du, np.arange(Z.nw)[None, :] - de
+    return np.stack([
+        np.stack([Z.at(ix - k * n // P - ell * n // Q, iw) for ell in range(Q)], axis=-1)
+        for k in range(P)
+    ], axis=-2)
+
+
 class TestZZMatrix:
     def test_unit_box_trivial(self, box64):
         Z = zak_transform(box64, 64, 64)
         A = zz_matrix(Z, LAT11)
-        assert A.shape == (1, 1, 64, 64)
+        assert A.shape == (64, 64, 1, 1)
         assert np.max(np.abs(A - 1.0)) == 0.0
 
     def test_box_p2_column_wrap(self, box64):
         Z = zak_transform(box64, 64, 64)
-        A = zz_matrix(Z, LAT21)[:, :, : 64 // 2]
-        # row k=1 is Zg(x - 1/2, w): on x < 1/2 the argument wraps and
-        # picks up exp(-2 pi i w); on x >= 1/2 it is 1 -- but the R_P
-        # domain is x in [0, 1/2), so only the wrapped branch appears
+        A = zz_matrix(Z, LAT21)
+        # row k=1 is Zg(x - 1/2, w): on the period rectangle x < 1/2 the
+        # argument wraps and picks up exp(-2 pi i w)
         w = np.arange(64) / 64
-        assert np.max(np.abs(A[0, 0] - 1.0)) < 1e-14
-        assert np.max(np.abs(A[1, 0] - np.exp(-2j * np.pi * w)[None, :])) < 1e-14
+        assert A.shape == (32, 64, 2, 1)
+        assert np.max(np.abs(A[:, :, 0, 0] - 1.0)) < 1e-14
+        assert np.max(np.abs(A[:, :, 1, 0] - np.exp(-2j * np.pi * w)[None, :])) < 1e-14
+
+    @pytest.mark.parametrize("du, de", [(0, 0), (5, -7)])
+    @pytest.mark.parametrize("P, Q", [(1, 1), (2, 1), (3, 2), (1, 3)])
+    def test_period_rectangle_of_unit_square_oracle(self, P, Q, du, de):
+        # zz_matrix is the oracle's rows x < 1/P, and the oracle obeys
+        # A(x + 1/P, w) = Pi(w) A(x, w): Pi moves row k to k + 1 and the
+        # last row, times e^{2 pi i w}, to row 0, i.e. Pi(w) = R_P(-w)
+        n = 48
+        Z = zak_transform(sample_function("gaussian", (-8, 8), n), n, n)
+        lat = SeparableLattice(P, Q)
+        oracle = unit_square_zz(Z, lat, du, de)
+        A = zz_matrix(Z, lat, du, de)
+        assert A.shape == (n // P, n, P, Q)
+        assert np.array_equal(A, oracle[: n // P])
+        Pi = shift_matrix(P, -(np.arange(n) - de) / n)
+        assert np.max(np.abs(oracle[n // P :] - Pi @ oracle[: n - n // P]), initial=0.0) < 1e-14
 
     def test_shift_identity_against_r_matrix(self):
         # A(x - l/Q, w) = A(x, w) R(w)^l on nodes
@@ -65,18 +93,10 @@ class TestZZMatrix:
         n = 96
         Z = zak_transform(g, n, 64)
         A = zz_matrix(Z, lat)
-        w = np.arange(64) / 64
-        R = shift_matrix(2, w)  # (2, 2, nw)
+        R = shift_matrix(2, np.arange(64) / 64)  # (nw, 2, 2)
         for ell in (1, 2, 3):
-            shifted = np.empty_like(A)
-            for k in range(lat.P):
-                for l2 in range(lat.Q):
-                    dj = k * n // lat.P + l2 * n // lat.Q + ell * n // lat.Q
-                    shifted[k, l2] = Z.window(-dj, 0, Z.nx, Z.nw)
-            Rl = R.copy()
-            for _ in range(ell - 1):
-                Rl = np.einsum("abw,bcw->acw", Rl, R)
-            prod = np.einsum("pqxw,qrw->prxw", A, Rl)
+            shifted = unit_square_zz(Z, lat, ell * n // lat.Q)[: n // lat.P]
+            prod = A @ np.linalg.matrix_power(R, ell)
             assert np.max(np.abs(shifted - prod)) < 1e-12
 
     def test_grid_compatibility(self, gauss64):
@@ -167,13 +187,13 @@ class TestRieszBounds:
         # P A ||xi||^2 <= ||A xi||^2 <= P B ||xi||^2 at random nodes
         rep = riesz_bounds(gauss64, LAT21, 64, 64)
         Z = zak_transform(gauss64, 64, 64)
-        A = zz_matrix(Z, LAT21)[:, :, : 64 // 2]  # (2, 1, 32, 64)
+        A = zz_matrix(Z, LAT21)  # (32, 64, 2, 1)
         for _ in range(64):
-            i = rng.integers(A.shape[2])
-            j = rng.integers(A.shape[3])
+            i = rng.integers(A.shape[0])
+            j = rng.integers(A.shape[1])
             xi = rng.standard_normal(1) + 1j * rng.standard_normal(1)
             xi /= np.linalg.norm(xi)
-            v = A[:, :, i, j] @ xi
+            v = A[i, j] @ xi
             n2 = float(np.linalg.norm(v) ** 2)
             assert 2 * rep.a_est - 1e-9 <= n2 <= 2 * rep.b_est + 1e-9
 
@@ -277,8 +297,17 @@ class TestInvarianceSolve:
             invariance_solve(riesz_bounds(f, LAT11, 64, 64), Fraction(1, 2), 0)
 
     def test_f_field_is_exactly_periodic(self, gauss64):
+        # f_field holds x < 1/2 only; a least-squares solve at the nodes
+        # x + 1/2, read straight from the Zak field, gives it back
         rep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), Fraction(1, 2), 0)
-        assert np.array_equal(rep.f_field, np.roll(rep.f_field, 64 // 2, axis=1))
+        assert rep.f_field.shape == (1, 32, 64)
+        Z = zak_transform(gauss64, 64, 64)
+        ix = np.arange(32, 64)[:, None]
+        iw = np.arange(64)[None, :]
+        A = np.array([Z.at(ix - 32 * k, iw) for k in range(2)])  # (2, 32, 64)
+        b = np.array([Z.at(ix - 32 - 32 * k, iw) for k in range(2)])
+        F = np.sum(A.conj() * b, axis=0) / np.sum(np.abs(A) ** 2, axis=0)
+        assert np.max(np.abs(F - rep.f_field[0])) < 1e-12
 
     @pytest.mark.parametrize("recipe, support", [("box_sine", (0, 1)), ("gaussian", (-8, 8))])
     @pytest.mark.parametrize("P, Q", [(2, 1), (3, 2)])
@@ -312,7 +341,7 @@ class TestInvarianceSolve:
         assert rep.max_residual == pytest.approx(oracle, rel=1e-9)
         if recipe == "box_sine":
             assert riesz.a_est > 1 / 6 - 1e-9  # well conditioned: F itself is stable
-            assert np.max(np.abs(F - rep.f_field)) < 1e-10
+            assert np.max(np.abs(F - np.tile(rep.f_field, (1, P, 1)))) < 1e-10
 
 
 class TestCoefficientRecovery:
@@ -327,7 +356,7 @@ class TestCoefficientRecovery:
         # F_0 = e^{2 pi i (P x - w)} corresponds to c_{Q*1+0, 1}
         lat = SeparableLattice(2, 3)
         F = synthetic_mode_field(lat, 48, 32, {(3, 1): 1.0})
-        rec = coefficient_recovery(F[:, : 48 // 2])
+        rec = coefficient_recovery(F)
         assert set(rec.coeffs) == {(3, 1)}
         assert rec.coeffs[(3, 1)] == pytest.approx(1.0, abs=1e-12)
 
@@ -339,7 +368,7 @@ class TestCoefficientRecovery:
             n = int(rng.integers(-6, 7))
             modes[(m, n)] = complex(rng.standard_normal(), rng.standard_normal())
         F = synthetic_mode_field(lat, 96, 64, modes)
-        rec = coefficient_recovery(F[:, : 96 // 3])
+        rec = coefficient_recovery(F)
         assert set(rec.coeffs) == set(modes)
         for k, v in modes.items():
             assert rec.coeffs[k] == pytest.approx(v, abs=1e-10)
@@ -352,7 +381,7 @@ class TestMMatrix:
         box = sample_function("box", (0, 1), S)
         rep = invariance_solve(riesz_bounds(box, LAT11, S, S), Fraction(1, 2), 0)
         res = m_matrix(rep.f_field, LAT11, 0)
-        assert np.max(np.abs(res.field[0, 0] - rep.f_field[0])) == 0.0
+        assert np.max(np.abs(res.field[:, :, 0, 0] - rep.f_field[0])) == 0.0
         assert res.conjugation_residual < 1e-12
         assert res.plain_conjugation_residual < 1e-12
         assert fertig_residual(rep.riesz, Fraction(1, 2), 0, res) < 1e-10
@@ -385,6 +414,35 @@ class TestMMatrix:
         rep = invariance_solve(riesz_bounds(gauss64, LAT21, 64, 64), 1, 2)
         res = m_matrix(rep.f_field, LAT21, 2)
         assert fertig_residual(rep.riesz, 1, 2, res) < 1e-9
+
+    @pytest.mark.parametrize(
+        "recipe, support, P, Q, u, eta, expected",
+        [
+            ("gaussian", (-8, 8), 2, 1, Fraction(1, 2), 0, 0.3006258),
+            ("gaussian", (-8, 8), 3, 2, Fraction(1, 3), Fraction(1, 4), 6.879140e-3),
+            ("box_sine", (0, 1), 2, 1, Fraction(1, 2), 0, 1.0),
+            ("box_sine", (0, 1), 3, 2, Fraction(1, 3), Fraction(1, 4), 0.4850158),
+        ],
+    )
+    def test_fertig_on_rectangle_matches_unit_square(self, recipe, support, P, Q, u, eta, expected):
+        # off the lattice the identity fails; its sup over the period
+        # rectangle is the sup over the unit square, since the difference of
+        # its sides obeys X(x + 1/P) = Pi(w - eta) X(x), Pi a monomial unitary
+        S = 48
+        lat = SeparableLattice(P, Q)
+        riesz = riesz_bounds(sample_function(recipe, support, S), lat, S, S)
+        M = m_matrix(invariance_solve(riesz, u, eta).f_field, lat, eta)
+        A = unit_square_zz(riesz.zak, lat)
+        A_shift = unit_square_zz(riesz.zak, lat, int(u * S), int(eta * S))
+        x = np.arange(S) / S
+        rhs = (
+            np.exp(-2j * np.pi * float(eta) * x)[:, None, None, None]
+            * np.exp(2j * np.pi * float(eta) * np.arange(P) / P)[:, None]
+            * (A @ np.tile(M.field, (P, 1, 1, 1)))  # M is 1/P-periodic
+        )
+        reference = np.max(np.abs(A_shift - rhs))
+        assert reference == pytest.approx(expected, rel=1e-6)
+        assert fertig_residual(riesz, u, eta, M) == pytest.approx(reference, rel=1e-12)
 
 
 class TestProductRelation:
@@ -444,8 +502,8 @@ class TestTelescoping:
         u, eta, N = Fraction(1, 2), 0, 2
         rep = invariance_solve(riesz_bounds(box, LAT11, S, S), u, eta)
         Z = zak_transform(box, S, S)
-        A = zz_matrix(Z, LAT11)[0, 0]
-        M = m_matrix(rep.f_field, LAT11, eta).field[0, 0]
+        A = zz_matrix(Z, LAT11)[:, :, 0, 0]
+        M = m_matrix(rep.f_field, LAT11, eta).field[:, :, 0, 0]
         du = int(u * S)
         prod = np.ones_like(M)
         for n in range(1, N + 1):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from zakvmo.symplectic import (
-    GeneratorStep,
     RationalMatrix2,
     as_fraction,
     lattice_density,
@@ -35,10 +34,6 @@ class TestRationalBasics:
         for _ in range(50):
             m = random_sl2(rng)
             assert (m @ m.inverse()) == I2
-
-    def test_csv_roundtrip(self):
-        m = RationalMatrix2(Fraction(1, 2), Fraction(-3, 7), 0, 2)
-        assert RationalMatrix2.from_csv(m.to_csv()) == m
 
 
 class TestLatticeDensity:
@@ -135,9 +130,3 @@ class TestFactorization:
         for _ in range(1000):
             S = random_sl2(rng)
             assert steps_matrix(sl2_factorize(S)) == S
-
-    def test_step_dict_roundtrip(self):
-        st = GeneratorStep("chirp", Fraction(-5, 3))
-        assert GeneratorStep.from_dict(st.as_dict()) == st
-        stj = GeneratorStep("J")
-        assert GeneratorStep.from_dict(stj.as_dict()) == stj

@@ -1,7 +1,8 @@
 """Every name a ``zakvmo`` module, a test file or a ``perfbench`` script
 imports is used in it, every private module-level function or class of a
-``zakvmo`` module is used in that module, and every public one is read
-somewhere in ``src/``, ``tests/`` or ``perfbench/``.
+``zakvmo`` module is used in that module, and every public one, and every
+public method or property of a ``zakvmo`` class, is read somewhere in
+``src/``, ``tests/`` or ``perfbench/``.
 
 No linter is a dependency, so this parses each source file with ``ast``
 and compares the names its imports and definitions bind with the names it
@@ -84,6 +85,23 @@ def unread_public_defs(source: str, other_sources) -> list[str]:
     ]
 
 
+def unread_public_methods(source: str, other_sources) -> list[str]:
+    """Public methods and properties of the module-level classes of source
+    that neither the module outside their own definition nor any of
+    other_sources reads, bare or as an attribute."""
+    tree = ast.parse(source)
+    elsewhere = set().union(*(read_names(ast.parse(s)) for s in other_sources))
+    return [
+        f"line {node.lineno}: {cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and node.name not in elsewhere | read_names(tree, skip=node)
+    ]
+
+
 def test_checker_flags_unused_and_keeps_used():
     src = "import io\nimport os\nfrom a import b as c, d\n\ndef f(x: d):\n    return os.sep\n"
     assert unused_imports(src) == ["line 1: io", "line 3: c"]
@@ -124,3 +142,22 @@ def test_public_checker_flags_unread_defs():
 def test_no_unread_public_defs(path):
     others = [p.read_text() for p in FILES if p != path]
     assert unread_public_defs(path.read_text(), others) == []
+
+
+def test_method_checker_flags_unread_members():
+    src = (
+        "class C:\n"
+        "    def __init__(self):\n        self.read_here()\n\n"
+        "    def read_here(self):\n        return 1\n\n"
+        "    @property\n    def read_there(self):\n        return 2\n\n"
+        "    @property\n    def unread(self):\n        return 3\n\n"
+        "    @staticmethod\n    def recursive(n):\n        return C.recursive(n - 1)\n"
+    )
+    other = "import m\n\nm.C().read_there\n"
+    assert unread_public_methods(src, [other]) == ["line 13: C.unread", "line 17: C.recursive"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_public_methods(path):
+    others = [p.read_text() for p in FILES if p != path]
+    assert unread_public_methods(path.read_text(), others) == []

@@ -3,12 +3,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zakvmo.core import GridError, sample_function
+from zakvmo.core import GridError, node_index, sample_function
 from zakvmo.zak import (
     AliasingError,
     check_zak_identities,
     inverse_zak,
-    zak_extend,
     zak_l2_norm,
     zak_transform,
 )
@@ -30,7 +29,7 @@ class TestZakTransform:
         # the Gaussian's Zak transform vanishes at (1/2, 1/2); oracle:
         # direct alternating sum over a wide support
         Z = zak_transform(gauss64, 64, 64)
-        val = zak_extend(Z, Fraction(1, 2), Fraction(1, 2))
+        val = Z.at(node_index(Fraction(1, 2), Z.nx, "x"), node_index(Fraction(1, 2), Z.nw, "w"))
         ks = np.arange(-30, 30)
         direct = np.sum(np.exp(-((0.5 + ks) ** 2)) * np.exp(-1j * np.pi * ks))
         assert abs(val) < 1e-3
@@ -63,15 +62,15 @@ class TestZakTransform:
 class TestZakExtend:
     def test_unit_phase(self, box64):
         Z = zak_transform(box64, 64, 64)
-        assert zak_extend(Z, 1.0, 0.25) == pytest.approx(1j, abs=1e-14)
+        assert Z.at(node_index(1.0, Z.nx, "x"), node_index(0.25, Z.nw, "w")) == pytest.approx(1j, abs=1e-14)
 
     def test_omega_periodicity(self, box64):
         Z = zak_transform(box64, 64, 64)
-        assert zak_extend(Z, 0.0, 7.0) == pytest.approx(1.0, abs=1e-14)
+        assert Z.at(node_index(0.0, Z.nx, "x"), node_index(7.0, Z.nw, "w")) == pytest.approx(1.0, abs=1e-14)
 
     def test_half_phase(self, box64):
         Z = zak_transform(box64, 64, 64)
-        assert zak_extend(Z, 1.5, 0.5) == pytest.approx(-1.0, abs=1e-14)
+        assert Z.at(node_index(1.5, Z.nx, "x"), node_index(0.5, Z.nw, "w")) == pytest.approx(-1.0, abs=1e-14)
 
     def test_quasi_periodic_relation_everywhere(self, gauss64):
         Z = zak_transform(gauss64, 64, 64)
@@ -84,7 +83,7 @@ class TestZakExtend:
     def test_off_node_rejected(self, box64):
         Z = zak_transform(box64, 64, 64)
         with pytest.raises(GridError):
-            zak_extend(Z, 0.013, 0.0)
+            Z.at(node_index(0.013, Z.nx, "x"), node_index(0.0, Z.nw, "w"))
 
     @pytest.mark.parametrize("i0, j0", [(0, 0), (-64, 5), (-150, -70), (37, 200)])
     def test_phase_table_is_bit_identical_to_one_exp_per_node(self, gauss64, i0, j0):
