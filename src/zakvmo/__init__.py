@@ -22,7 +22,7 @@ from .gabor import (
 from .metaplectic import MetaplecticChain, apply_generator, apply_metaplectic, check_zak_formulas, covariance_residual
 from .symplectic import GeneratorStep, RationalMatrix2, lattice_density, lattice_reduce, sl2_factorize
 from .uncertainty import DivergenceSweep, MomentSpec, feichtinger_norm_estimate, gagliardo_seminorm, uncertainty_product, weighted_moment
-from .vmo import Cube, OscillationReport, check_inequalities, mean, mean_function, mean_oscillation, osc_supremum, vmo_decay_profile
+from .vmo import Cube, OscillationReport, check_inequalities, mean, mean_function, mean_oscillation, vmo_decay_profile
 from .zak import AliasingError, check_zak_identities, inverse_zak, zak_transform
 
 __version__ = "0.1.0"

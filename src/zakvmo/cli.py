@@ -85,6 +85,17 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
+def config_int(spec: dict, key: str) -> int:
+    """spec[key] as an int: an int, or a float with an integral value; anything
+    else, a bool included, is a ConfigError naming the key."""
+    value = spec[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{key} must be an integer, got {value!r}")
+
+
 def parse_rational(text) -> Fraction:
     try:
         return Fraction(str(text))
@@ -97,7 +108,7 @@ def build_generator(cfg: dict):
     if recipe == "box":
         a, b = cfg.get("box", [0.0, 1.0])
         recipe = ("box", float(a), float(b))
-    return sample_function(recipe, tuple(cfg["support"]), int(cfg["S"]))
+    return sample_function(recipe, tuple(cfg["support"]), config_int(cfg, "S"))
 
 
 def build_system(cfg: dict):
@@ -116,7 +127,7 @@ def build_system(cfg: dict):
     else:
         spec = cfg.get("lattice", {})
         try:
-            lat = gabor.SeparableLattice(int(spec["P"]), int(spec["Q"]))
+            lat = gabor.SeparableLattice(config_int(spec, "P"), config_int(spec, "Q"))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad lattice spec {spec!r}: {exc}")
     u, eta = (parse_rational(t) for t in cfg["shift"])
@@ -194,7 +205,7 @@ def _out(args, name):
 
 def cmd_zak(cfg: dict, args) -> int:
     g = build_generator(cfg)
-    nx, nw = int(cfg["nx"]), int(cfg["nw"])
+    nx, nw = config_int(cfg, "nx"), config_int(cfg, "nw")
     h = config_hash(cfg)
     Z = zak.zak_transform(g, nx, nw)
     rep = zak.check_zak_identities(g, Z)  # before any file: nx != nw exits 2
@@ -213,7 +224,7 @@ def cmd_zak(cfg: dict, args) -> int:
 
 def cmd_riesz(cfg: dict, args) -> int:
     g, lat, _, reduction = build_system(cfg)
-    rep = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
+    rep = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
     h = config_hash(cfg)
     write_report(_out(args, "riesz.json"), rep, h, reduction)
     nxf, nw = rep.sigma_min.shape
@@ -227,7 +238,7 @@ def cmd_riesz(cfg: dict, args) -> int:
 
 def cmd_invariance(cfg: dict, args) -> int:
     g, lat, (u, eta), reduction = build_system(cfg)
-    riesz = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
+    riesz = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
     rep = gabor.invariance_solve(riesz, u, eta, float(cfg["tol"]))
     write_report(_out(args, "invariance.json"), rep, config_hash(cfg), reduction)
     print(f"invariance: residual={rep.max_residual:.3g} verdict={rep.verdict}")
@@ -236,7 +247,7 @@ def cmd_invariance(cfg: dict, args) -> int:
 
 def cmd_vmo(cfg: dict, args) -> int:
     g, _, _, reduction = build_system(cfg)
-    Z = zak.zak_transform(g, int(cfg["nx"]), int(cfg["nw"]))
+    Z = zak.zak_transform(g, config_int(cfg, "nx"), config_int(cfg, "nw"))
     rep = vmo.vmo_decay_profile(
         Z, tuple(cfg["window"]), list(cfg["eps_list"]), float(cfg["vmo_floor"])
     )
@@ -253,7 +264,7 @@ def cmd_analyze(cfg: dict, args) -> int:
     Every stage runs before the first file is written, so a failed run
     writes nothing."""
     g, lat, (u, eta), reduction = build_system(cfg)
-    riesz_rep = gabor.riesz_bounds(g, lat, int(cfg["nx"]), int(cfg["nw"]))
+    riesz_rep = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
     inv_rep = gabor.invariance_solve(riesz_rep, u, eta, float(cfg["tol"]))
     prof = vmo.vmo_decay_profile(
         riesz_rep.zak, tuple(cfg["window"]), list(cfg["eps_list"]),
@@ -293,7 +304,7 @@ def cmd_analyze(cfg: dict, args) -> int:
 def cmd_metaplectic(cfg: dict, args) -> int:
     g = build_generator(cfg)
     alpha = parse_rational(cfg["alpha"])
-    m = int(cfg["chirp_m"])
+    m = config_int(cfg, "chirp_m")
     rep = metaplectic.check_zak_formulas(g, alpha, m)
     if "matrix" in cfg and cfg["matrix"]:
         S = RationalMatrix2(*(parse_rational(t) for t in cfg["matrix"]))
@@ -471,6 +482,19 @@ def cmd_proptest(cfg: dict, args) -> int:
     return EXIT_OK if ok else EXIT_PROPERTY
 
 
+COMMANDS = {
+    "zak": cmd_zak,
+    "analyze": cmd_analyze,
+    "riesz": cmd_riesz,
+    "invariance": cmd_invariance,
+    "vmo": cmd_vmo,
+    "metaplectic": cmd_metaplectic,
+    "uncertainty": cmd_uncertainty,
+    "demo": cmd_demo,
+    "proptest": cmd_proptest,
+}
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -481,33 +505,17 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("zak", "analyze", "riesz", "invariance", "vmo", "metaplectic",
-                 "uncertainty", "demo"):
+    for name in COMMANDS:
         sub.add_parser(name)
-    pt = sub.add_parser("proptest")
-    pt.add_argument("suite")
-    pt.add_argument("--cases", type=int, default=1000)
+    sub.choices["proptest"].add_argument("suite")
+    sub.choices["proptest"].add_argument("--cases", type=int, default=1000)
     return parser
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
-    handlers = {
-        "zak": cmd_zak,
-        "analyze": cmd_analyze,
-        "riesz": cmd_riesz,
-        "invariance": cmd_invariance,
-        "vmo": cmd_vmo,
-        "metaplectic": cmd_metaplectic,
-        "uncertainty": cmd_uncertainty,
-        "demo": cmd_demo,
-    }
     try:
-        cfg = load_config(args.config)
-        if args.command == "proptest":
-            return cmd_proptest(cfg, args)
-        return handlers[args.command](cfg, args)
+        return COMMANDS[args.command](load_config(args.config), args)
     except (gabor.RieszFailureError, zak.AliasingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -93,31 +93,16 @@ def shift_matrix(Q: int, w: np.ndarray) -> np.ndarray:
 def _qr_sigma(mats: np.ndarray):
     """(Q, R, sigma_max, sigma_min) of a stack of p x q blocks by one reduced QR
     (of the conjugate transposes if p < q).  The k x k triangle R, k = min(p, q),
-    has their singular values: |r11|, dlas2 on |R| (unitarily equivalent), or SVD."""
+    has their singular values: |r11|, a closed 2 x 2 formula on |R|, or SVD."""
     p, q = mats.shape[-2:]
     Qm, Rm = np.linalg.qr(mats if p >= q else mats.conj().swapaxes(-1, -2))
     if min(p, q) != 2:
         sv = np.abs(Rm[..., :1, 0]) if min(p, q) == 1 else np.linalg.svd(Rm, compute_uv=False)
         return Qm, Rm, sv[..., 0], sv[..., -1]
-    # dlas2 on [[f, g], [0, h]] (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 1990)
+    # R = [[f, g], [0, h]] up to phases: smax +- smin = |(f +- h, g)|, smax * smin = f h
     f, g, h = np.abs((Rm[..., 0, 0], Rm[..., 0, 1], Rm[..., 1, 1]))
-    fhmn, fhmx = np.minimum(f, h), np.maximum(f, h)
-    smax, smin = g.copy(), np.zeros_like(f)  # f = h = 0
-    m = (fhmn == 0) & (fhmx > 0)
-    mx, mn = np.maximum(fhmx[m], g[m]), np.minimum(fhmx[m], g[m])
-    smax[m] = mx * np.sqrt(1.0 + (mn / mx) ** 2)
-    m = (fhmn > 0) & (g < fhmx)
-    fn, fx, au = fhmn[m], fhmx[m], (g[m] / fhmx[m]) ** 2
-    as_, at = 1.0 + fn / fx, (fx - fn) / fx
-    c = 2.0 / (np.sqrt(as_ * as_ + au) + np.sqrt(at * at + au))
-    smin[m], smax[m] = fn * c, fx / c
-    m = (fhmn > 0) & (g >= fhmx)
-    fn, fx, ga = fhmn[m], fhmx[m], g[m]
-    as_, at, au = 1.0 + fn / fx, (fx - fn) / fx, fx / ga
-    c = 1.0 / (np.sqrt(1.0 + (as_ * au) ** 2) + np.sqrt(1.0 + (at * au) ** 2))
-    under = au == 0  # dlas2's guard: the true sigma_min need not underflow
-    smin[m] = np.where(under, (fn * fx) / ga, 2.0 * (fn * c * au))
-    smax[m] = np.where(under, ga, ga / (c + c))
+    smax = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))
+    smin = f * np.divide(h, smax, out=np.zeros_like(smax), where=smax > 0)
     return Qm, Rm, smax, smin
 
 

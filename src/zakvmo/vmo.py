@@ -16,6 +16,10 @@ exactly as trigonometric polynomials; oscillations always subtract the
 cell average.
 essinf/esssup on sampled fields are node minima/maxima and are flagged as
 grid-level proxies in reports.
+
+One small-cube supremum, :func:`_window_sup` over the exhaustive
+``_kernels.osc_scan`` tables, serves the decay sweep (whole window, with
+its witness cube) and the inequality checker (random subwindows).
 """
 
 from __future__ import annotations
@@ -145,17 +149,24 @@ def _osc_arrays(W: np.ndarray, sides) -> dict:
     }
 
 
-def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.inf) -> float:
-    """Largest oscillation of a cube of sides, with area below cap, that lies
-    inside the wi-by-wj subwindow at (i, j); 0 when none fits."""
-    best = 0.0
+def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.inf):
+    """(S, where): S is the largest oscillation of a cube of sides, with area
+    below cap, that lies inside the wi-by-wj subwindow at (i, j) of the
+    :func:`_osc_arrays` tables osc; where = (side, sx, sy, a, b) is the first
+    cube that attains it, in side order and then C order, anchored at node
+    (a, b) of the scanned window.  (0.0, None) when no cube fits."""
+    best, where = 0.0, None
     for side, sx, sy in sides:
         if side * side >= cap or sx > wi or sy > wj:
             continue
         sub = osc[(sx, sy)][i : i + wi - sx + 1, j : j + wj - sy + 1]
         if sub.size:
-            best = max(best, float(sub.max()))
-    return best
+            k = int(sub.argmax())
+            val = float(sub.flat[k])
+            if val > best or where is None:
+                a, b = divmod(k, sub.shape[1])
+                best, where = val, (side, sx, sy, i + a, j + b)
+    return best, where
 
 
 def _block_stats(W: np.ndarray, i: int, j: int, a: int, b: int):
@@ -182,40 +193,25 @@ def _admissible_sides(field: ScalarField2D, ni: int, nj: int, eps: float):
 
 
 def _sup_profile(field: ScalarField2D, rect, eps_list) -> list:
-    """(S_eps, witness cube) for each eps: the largest oscillation over the
-    grid-aligned cubes in rect with area < eps, and the first cube (side
-    order, then C order) that attains it."""
+    """(S_eps, witness cube) for each eps: :func:`_window_sup` over the whole
+    window of rect, one scan of the cubes of area < max(eps_list) serving
+    every eps; the witness is None when no cube has area < eps.  The scan is
+    exhaustive at grid resolution, so S_eps is a lower bound for the true
+    supremum."""
     i0, j0, ni, nj = _rect_window(field, rect)
-    window = field.window(i0, j0, ni, nj)
     sides = _admissible_sides(field, ni, nj, max(eps_list))
     if not sides:
         raise GridError(f"eps = {max(eps_list)} admits no grid cube inside the window")
-    osc = _osc_arrays(window, sides)
+    osc = _osc_arrays(field.window(i0, j0, ni, nj), sides)
     out = []
     for eps in eps_list:
-        best, best_cube = 0.0, None
-        for side, sx, sy in sides:
-            if side * side >= eps:
-                continue
-            arr = osc[(sx, sy)]
-            idx = np.unravel_index(np.argmax(arr), arr.shape)
-            val = float(arr[idx])
-            if val > best or best_cube is None:
-                best = val
-                best_cube = Cube(
-                    (i0 + idx[0] + sx / 2) * field.hx, (j0 + idx[1] + sy / 2) * field.hw, side
-                )
-        out.append((best, best_cube))
+        s, where = _window_sup(osc, sides, 0, 0, ni, nj, eps)
+        cube = None
+        if where is not None:
+            side, sx, sy, a, b = where
+            cube = Cube((i0 + a + sx / 2) * field.hx, (j0 + b + sy / 2) * field.hw, side)
+        out.append((s, cube))
     return out
-
-
-def osc_supremum(F: ScalarField2D, U, eps: float) -> float:
-    """S_{eps,U}(F): max of M_Q over grid-aligned cubes Q in U, |Q| < eps.
-
-    The cube family is the exhaustive enumeration at grid resolution, so
-    the result is a deterministic lower bound for the true supremum.
-    """
-    return _sup_profile(F, U, [eps])[0][0]
 
 
 @dataclass
@@ -350,6 +346,14 @@ def _ratio(lhs: float, rhs: float) -> float:
     return lhs / max(rhs, 1e-300)
 
 
+def _cases(name: str, n_cases: int, case) -> InequalityResult:
+    """The largest _ratio(lhs, rhs) over n_cases calls of case() -> (lhs, rhs)."""
+    res = InequalityResult(name, cases=n_cases)
+    for _ in range(n_cases):
+        res.max_ratio = max(res.max_ratio, _ratio(*case()))
+    return res
+
+
 class _TrigPoly2:
     """Small trigonometric polynomial evaluable anywhere (for pullbacks)."""
 
@@ -387,82 +391,68 @@ class _TrigPoly2:
         return gx, gw
 
 
+def _cube_nodes(cube: Cube, n: int):
+    """Midpoints of the n-by-n cells of a cube: an (n, 1) column of x and a
+    (1, n) row of w."""
+    t = cube.side / n * (np.arange(n) + 0.5)
+    return (cube.cx - cube.side / 2 + t)[:, None], (cube.cw - cube.side / 2 + t)[None, :]
+
+
 def _sample_cube_stats(fn, cube: Cube, n: int = 32):
-    """Midpoint-sampled mean, oscillation and rms of a callable on a cube."""
-    h = cube.side / n
-    xs = cube.cx - cube.side / 2 + h * (np.arange(n) + 0.5)
-    ws = cube.cw - cube.side / 2 + h * (np.arange(n) + 0.5)
-    vals = fn(xs[:, None], ws[None, :])
+    """Midpoint-sampled oscillation and rms of a callable on a cube."""
+    vals = fn(*_cube_nodes(cube, n))
     mu = vals.mean()
-    return mu, float(np.mean(np.abs(vals - mu))), float(np.sqrt(np.mean(np.abs(vals) ** 2)))
+    return float(np.mean(np.abs(vals - mu))), float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
 
-def affine_pullback_cases(rng, n_cases: int = 100) -> InequalityResult:
-    """Randomized check of the affine change-of-variables bound (n = 2):
-    M_Q(F o Phi) <= 2 n^{n/2} ||A||op^n / |det A| * M_{Qtilde}(F)."""
-    res = InequalityResult("affine_pullback")
-    for _ in range(n_cases):
-        F = _TrigPoly2(rng, degree=2)
-        while True:
-            A = rng.integers(-3, 4, size=(2, 2))
-            if np.linalg.det(A) != 0:
-                break
-        b = rng.uniform(-1, 1, size=2)
-        op = float(np.linalg.svd(A.astype(float), compute_uv=False)[0])
-        cube = Cube(rng.uniform(0, 1), rng.uniform(0, 1), rng.choice([0.125, 0.25, 0.5]))
+def _affine_pullback_case(rng):
+    """(lhs, rhs) of one random case of the affine change-of-variables bound
+    (n = 2): M_Q(F o Phi) <= 2 n^{n/2} ||A||op^n / |det A| * M_{Qtilde}(F)."""
+    F = _TrigPoly2(rng, degree=2)
+    while True:
+        A = rng.integers(-3, 4, size=(2, 2))
+        if np.linalg.det(A) != 0:
+            break
+    b = rng.uniform(-1, 1, size=2)
+    op = float(np.linalg.svd(A.astype(float), compute_uv=False)[0])
+    cube = Cube(rng.uniform(0, 1), rng.uniform(0, 1), rng.choice([0.125, 0.25, 0.5]))
 
-        def pulled(x, w, A=A, b=b, F=F):
-            return F(A[0, 0] * x + A[0, 1] * w + b[0], A[1, 0] * x + A[1, 1] * w + b[1])
+    def pulled(x, w):
+        return F(A[0, 0] * x + A[0, 1] * w + b[0], A[1, 0] * x + A[1, 1] * w + b[1])
 
-        _, lhs, _ = _sample_cube_stats(pulled, cube)
-        cx2 = A[0, 0] * cube.cx + A[0, 1] * cube.cw + b[0]
-        cw2 = A[1, 0] * cube.cx + A[1, 1] * cube.cw + b[1]
-        tilde = Cube(cx2, cw2, math.sqrt(2) * op * cube.side)
-        _, m2, _ = _sample_cube_stats(F, tilde, n=48)
-        rhs = 2 * 2 * op**2 / abs(float(np.linalg.det(A))) * m2
-        res.max_ratio = max(res.max_ratio, _ratio(lhs, rhs))
-        res.cases += 1
-    return res
+    lhs, _ = _sample_cube_stats(pulled, cube)
+    cx2 = A[0, 0] * cube.cx + A[0, 1] * cube.cw + b[0]
+    cw2 = A[1, 0] * cube.cx + A[1, 1] * cube.cw + b[1]
+    m2, _ = _sample_cube_stats(F, Cube(cx2, cw2, math.sqrt(2) * op * cube.side), n=48)
+    return lhs, 2 * 2 * op**2 / abs(float(np.linalg.det(A))) * m2
 
 
-def c1_multiplier_cases(rng, n_cases: int = 100) -> InequalityResult:
-    """Randomized check of the C^1-multiplier bound (n = 2):
+def _c1_multiplier_case(rng):
+    """(lhs, rhs) of one random case of the C^1-multiplier bound (n = 2):
     M_Q(phi F) <= sup_Q|phi| M_Q(F) + sup_Q ||grad phi||_1 ||F||_{L^2(Q)}."""
-    res = InequalityResult("c1_multiplier")
-    for _ in range(n_cases):
-        F = _TrigPoly2(rng, degree=2)
-        phi = _TrigPoly2(rng, degree=1, real=True)
-        cube = Cube(rng.uniform(0, 1), rng.uniform(0, 1), rng.choice([0.125, 0.25, 0.5]))
-        _, lhs, _ = _sample_cube_stats(lambda x, w: phi(x, w) * F(x, w), cube)
-        _, mf, rms = _sample_cube_stats(F, cube)
-        n = 32
-        h = cube.side / n
-        xs = cube.cx - cube.side / 2 + h * (np.arange(n) + 0.5)
-        ws = cube.cw - cube.side / 2 + h * (np.arange(n) + 0.5)
-        sup_phi = float(np.max(np.abs(phi(xs[:, None], ws[None, :]))))
-        gx, gw = phi.gradient(xs[:, None], ws[None, :])
-        sup_grad = float(np.max(np.abs(gx) + np.abs(gw)))
-        l2 = rms * cube.side  # ||F||_{L2(Q)} = sqrt(|Q| * mean |F|^2)
-        rhs = sup_phi * mf + sup_grad * l2
-        res.max_ratio = max(res.max_ratio, _ratio(lhs, rhs))
-        res.cases += 1
-    return res
+    F = _TrigPoly2(rng, degree=2)
+    phi = _TrigPoly2(rng, degree=1, real=True)
+    cube = Cube(rng.uniform(0, 1), rng.uniform(0, 1), rng.choice([0.125, 0.25, 0.5]))
+    lhs, _ = _sample_cube_stats(lambda x, w: phi(x, w) * F(x, w), cube)
+    mf, rms = _sample_cube_stats(F, cube)
+    xs, ws = _cube_nodes(cube, 32)
+    sup_phi = float(np.max(np.abs(phi(xs, ws))))
+    gx, gw = phi.gradient(xs, ws)
+    sup_grad = float(np.max(np.abs(gx) + np.abs(gw)))
+    l2 = rms * cube.side  # ||F||_{L2(Q)} = sqrt(|Q| * mean |F|^2)
+    return lhs, sup_phi * mf + sup_grad * l2
 
 
 def check_inequalities(
-    F: ScalarField2D,
-    G: ScalarField2D,
-    U,
-    eps: float,
-    n_cases: int = 1000,
-    rng=None,
+    F: ScalarField2D, G: ScalarField2D, U, eps: float, n_cases: int = 1000, rng=None
 ) -> InequalityReport:
     """Evaluate every quantitative oscillation inequality on random cubes.
 
     The two sampled fields drive the product/inverse/nesting bounds; the
     affine-pullback and C^1-multiplier bounds need off-grid evaluation and
     run on internally generated trigonometric polynomials seeded by the
-    same generator.  Reported ratios are lhs/rhs, which must stay <= 1 up
+    same generator.  Each check draws n_cases random cases through
+    :func:`_cases`; reported ratios are lhs/rhs, which must stay <= 1 up
     to grid tolerance.
     """
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
@@ -479,123 +469,99 @@ def check_inequalities(
     if not sides:
         raise GridError("eps admits no cube on this grid")
 
-    def rand_cube():
-        side, sx, sy = sides[rng.integers(len(sides))]
-        i = int(rng.integers(0, ni - sx + 1))
-        j = int(rng.integers(0, nj - sy + 1))
-        return i, j, sx, sy
+    def cube(sides):
+        """(i, j, sx, sy) of a random cube of sides inside the window."""
+        _, sx, sy = sides[rng.integers(len(sides))]
+        return int(rng.integers(0, ni - sx + 1)), int(rng.integers(0, nj - sy + 1)), sx, sy
 
-    results = {}
+    def window(lo_i, lo_j, hi):
+        """(i, j, wi, wj) of a random subwindow, lo_i <= wi <= min(hi, ni)
+        and lo_j <= wj <= min(hi, nj)."""
+        wi = int(rng.integers(lo_i, min(hi, ni) + 1))
+        wj = int(rng.integers(lo_j, min(hi, nj) + 1))
+        return int(rng.integers(0, ni - wi + 1)), int(rng.integers(0, nj - wj + 1)), wi, wj
 
     # |F_Q G_Q - (FG)_Q| <= 1/2 max(||F||,||G||) (M_Q(F) + M_Q(G))
-    r = InequalityResult("product_mean")
-    for _ in range(n_cases):
-        i, j, sx, sy = rand_cube()
+    def product_mean():
+        i, j, sx, sy = cube(sides)
         mf, of = _block_stats(WF, i, j, sx, sy)
         mg, og = _block_stats(WG, i, j, sx, sy)
         mp, _ = _block_stats(WP, i, j, sx, sy)
-        lhs = abs(mf * mg - mp)
-        rhs = 0.5 * max(sup_f, sup_g) * (of + og)
-        r.max_ratio = max(r.max_ratio, _ratio(lhs, rhs))
-        r.cases += 1
-    results[r.name] = r
+        return abs(mf * mg - mp), 0.5 * max(sup_f, sup_g) * (of + og)
+
+    results = [_cases("product_mean", n_cases, product_mean)]
 
     # S_{eps,U}(FG) <= 3/2 max(||F||,||G||) (S(F) + S(G)) on random subwindows
-    r = InequalityResult("product_osc_sup")
     scans = {key: _osc_arrays(W, sides) for key, W in (("F", WF), ("G", WG), ("P", WP))}
-    for _ in range(n_cases):
-        wi = int(rng.integers(16, min(48, ni) + 1))
-        wj = int(rng.integers(16, min(48, nj) + 1))
-        i = int(rng.integers(0, ni - wi + 1))
-        j = int(rng.integers(0, nj - wj + 1))
-        cap = eps * float(rng.uniform(0.3, 1.0))
-        sF, sG, sP = (_window_sup(scans[k], sides, i, j, wi, wj, cap) for k in "FGP")
-        rhs = 1.5 * max(sup_f, sup_g) * (sF + sG)
-        r.max_ratio = max(r.max_ratio, _ratio(sP, rhs))
-        r.cases += 1
-    results[r.name] = r
 
-    # |F_Q| >= essinf|F|/2 and S(1/F) <= 4/essinf^2 S(F), with eps picked by
-    # bisection until S_{eps,U}(F) <= essinf|F|/2.
-    r_low = InequalityResult("mean_lower_bound")
-    r_inv = InequalityResult("inverse_osc_sup")
+    def product_osc_sup():
+        i, j, wi, wj = window(16, 16, 48)
+        cap = eps * float(rng.uniform(0.3, 1.0))
+        sF, sG, sP = (_window_sup(scans[k], sides, i, j, wi, wj, cap)[0] for k in "FGP")
+        return sP, 1.5 * max(sup_f, sup_g) * (sF + sG)
+
+    results.append(_cases("product_osc_sup", n_cases, product_osc_sup))
+
+    # |F_Q| >= essinf|F|/2 and S(1/F) <= 4/essinf^2 S(F), with eps quartered
+    # until S_{eps,U}(F) <= essinf|F|/2.
     c_min = float(np.min(np.abs(WF)))
-    if c_min <= 1e-6:
-        r_low.precondition_ok = r_inv.precondition_ok = False
-        r_low.note = r_inv.note = "essinf|F| ~ 0 at grid level"
-    else:
+    ok_sides, note = None, "essinf|F| ~ 0 at grid level"
+    if c_min > 1e-6:
+        note = "no eps with S_{eps,U}(F) <= essinf|F|/2 on this grid"
         eps_star = eps
-        found = None
         for _ in range(24):
-            ok_sides = [(s, a, b) for s, a, b in sides if s * s < eps_star]
-            if not ok_sides:
+            trial = [(s, a, b) for s, a, b in sides if s * s < eps_star]
+            if not trial:
                 break
-            s_val = _window_sup(scans["F"], ok_sides, 0, 0, ni, nj)
-            if s_val <= c_min / 2:
-                found = (eps_star, ok_sides)
+            if _window_sup(scans["F"], trial, 0, 0, ni, nj)[0] <= c_min / 2:
+                ok_sides, note = trial, f"eps_U = {eps_star}"
                 break
             eps_star /= 4.0
-        if found is None:
-            r_low.precondition_ok = r_inv.precondition_ok = False
-            r_low.note = r_inv.note = "no eps with S_{eps,U}(F) <= essinf|F|/2 on this grid"
-        else:
-            eps_star, ok_sides = found
-            r_low.note = r_inv.note = f"eps_U = {eps_star}"
-            inv_osc = _osc_arrays(1.0 / WF, ok_sides)
-            for _ in range(n_cases):
-                side, sx, sy = ok_sides[rng.integers(len(ok_sides))]
-                i = int(rng.integers(0, ni - sx + 1))
-                j = int(rng.integers(0, nj - sy + 1))
-                mu = WF[i : i + sx, j : j + sy].mean()
-                r_low.max_ratio = max(r_low.max_ratio, _ratio(c_min / 2, abs(mu)))
-                r_low.cases += 1
+    if ok_sides is None:
+        r_low = InequalityResult("mean_lower_bound", precondition_ok=False)
+        r_inv = InequalityResult("inverse_osc_sup", precondition_ok=False)
+    else:
+        inv_osc = _osc_arrays(1.0 / WF, ok_sides)
 
-            lo_i, lo_j = min(16, ni), min(16, nj)
-            for _ in range(n_cases):
-                wi = int(rng.integers(lo_i, min(48, ni) + 1))
-                wj = int(rng.integers(lo_j, min(48, nj) + 1))
-                i = int(rng.integers(0, ni - wi + 1))
-                j = int(rng.integers(0, nj - wj + 1))
-                s_f = _window_sup(scans["F"], ok_sides, i, j, wi, wj)
-                s_i = _window_sup(inv_osc, ok_sides, i, j, wi, wj)
-                r_inv.max_ratio = max(r_inv.max_ratio, _ratio(s_i, 4.0 / c_min**2 * s_f))
-                r_inv.cases += 1
-    results[r_low.name] = r_low
-    results[r_inv.name] = r_inv
+        def mean_lower_bound():
+            i, j, sx, sy = cube(ok_sides)
+            return c_min / 2, abs(WF[i : i + sx, j : j + sy].mean())
+
+        def inverse_osc_sup():
+            i, j, wi, wj = window(min(16, ni), min(16, nj), 48)
+            s_f, s_i = (_window_sup(osc, ok_sides, i, j, wi, wj)[0] for osc in (scans["F"], inv_osc))
+            return s_i, 4.0 / c_min**2 * s_f
+
+        r_low = _cases("mean_lower_bound", n_cases, mean_lower_bound)
+        r_inv = _cases("inverse_osc_sup", n_cases, inverse_osc_sup)
+    r_low.note = r_inv.note = note
+    results += [r_low, r_inv]
 
     # Nested sets: M_{D1}(F) <= 2 |D2|/|D1| M_{D2}(F) for rectangles D1 c D2.
-    r = InequalityResult("nested_mean_osc")
-    for _ in range(n_cases):
-        a2 = int(rng.integers(4, min(32, ni) + 1))
-        b2 = int(rng.integers(4, min(32, nj) + 1))
-        i2 = int(rng.integers(0, ni - a2 + 1))
-        j2 = int(rng.integers(0, nj - b2 + 1))
+    def nested_mean_osc():
+        i2, j2, a2, b2 = window(4, 4, 32)
         a1 = int(rng.integers(1, a2 + 1))
         b1 = int(rng.integers(1, b2 + 1))
         i1 = i2 + int(rng.integers(0, a2 - a1 + 1))
         j1 = j2 + int(rng.integers(0, b2 - b1 + 1))
         lhs = _block_stats(WF, i1, j1, a1, b1)[1]
-        rhs = 2.0 * (a2 * b2) / (a1 * b1) * _block_stats(WF, i2, j2, a2, b2)[1]
-        r.max_ratio = max(r.max_ratio, _ratio(lhs, rhs))
-        r.cases += 1
-    results[r.name] = r
+        return lhs, 2.0 * (a2 * b2) / (a1 * b1) * _block_stats(WF, i2, j2, a2, b2)[1]
+
+    results.append(_cases("nested_mean_osc", n_cases, nested_mean_osc))
 
     # Product of several factors vs the telescoped constant.
-    r = InequalityResult("multi_product_mean")
     WH = 0.5 * (WF + WG)
-    sup_h = float(np.max(np.abs(WH)))
     scans["H"] = _osc_arrays(WH, sides)
-    c_const = prods_constant([sup_f, sup_g, sup_h])
-    rhs_sum = c_const * sum(_window_sup(scans[k], sides, 0, 0, ni, nj) for k in "FGH")
+    c_const = prods_constant([sup_f, sup_g, float(np.max(np.abs(WH)))])
+    rhs_sum = c_const * sum(_window_sup(scans[k], sides, 0, 0, ni, nj)[0] for k in "FGH")
     W3 = WF * WG * WH
-    for _ in range(n_cases):
-        i, j, sx, sy = rand_cube()
-        m3, mf, mg, mh = (W[i : i + sx, j : j + sy].mean() for W in (W3, WF, WG, WH))
-        lhs = abs(m3 - mf * mg * mh)
-        r.max_ratio = max(r.max_ratio, _ratio(lhs, rhs_sum))
-        r.cases += 1
-    results[r.name] = r
 
-    results["affine_pullback"] = affine_pullback_cases(rng, n_cases)
-    results["c1_multiplier"] = c1_multiplier_cases(rng, n_cases)
-    return InequalityReport(results)
+    def multi_product_mean():
+        i, j, sx, sy = cube(sides)
+        m3, mf, mg, mh = (W[i : i + sx, j : j + sy].mean() for W in (W3, WF, WG, WH))
+        return abs(m3 - mf * mg * mh), rhs_sum
+
+    results.append(_cases("multi_product_mean", n_cases, multi_product_mean))
+    results.append(_cases("affine_pullback", n_cases, lambda: _affine_pullback_case(rng)))
+    results.append(_cases("c1_multiplier", n_cases, lambda: _c1_multiplier_case(rng)))
+    return InequalityReport({r.name: r for r in results})

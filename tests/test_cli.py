@@ -1,12 +1,18 @@
+import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import lattice_gram
 from zakvmo import gabor, metaplectic, zak
-from zakvmo.cli import DEFAULT_CONFIG, build_generator, build_system, main, write_csv
+from zakvmo.cli import (
+    COMMANDS, DEFAULT_CONFIG, ConfigError, _parser, build_generator, build_system, config_int, main,
+    write_csv,
+)
 
 # The lattice generators of the perfbench transport workload.
 MATRICES = (["2", "1", "0", "1"], ["2", "0", "1", "1"], ["3", "1", "1", "1"], ["1", "1", "-1", "1"])
@@ -330,6 +336,28 @@ class TestMatrixRieszOracle:
         assert abs(rep.a_est - 1) <= 1e-12 and abs(rep.b_est - 1) <= 1e-12
 
 
+def test_one_subcommand_table():
+    # the parser, the dispatch table and README's "Subcommands:" line name
+    # the same commands
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    line = readme.split("Subcommands:", 1)[1].split(". ", 1)[0]
+    named = {word.split()[0] for word in re.findall(r"`([^`]+)`", line)}
+    assert set(sub.choices) == set(COMMANDS) == named
+
+
+@pytest.mark.parametrize("value", [64, 64.0])
+def test_config_int_accepts_integral_numbers(value):
+    got = config_int({"S": value}, "S")
+    assert got == 64 and type(got) is int
+
+
+@pytest.mark.parametrize("value", [64.5, True, "64", None, float("inf"), float("nan"), [64]])
+def test_config_int_rejects_the_rest(value):
+    with pytest.raises(ConfigError, match="^S must be an integer"):
+        config_int({"S": value}, "S")
+
+
 class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.json"), "--out", str(tmp_path), "zak"]) == 2
@@ -354,10 +382,13 @@ class TestExitCodes:
             ("zak", {"Nx": 8}),
             ("zak", {"seed": 5}),
             ("vmo", {"window": [0.0, 1.00000001, 0.0, 1.0]}),
+            ("riesz", {"S": 64.5}),
+            ("riesz", {"lattice": {"P": 2.7, "Q": 1}}),
+            ("riesz", {"nx": 32.9, "nw": 32.9}),
         ],
         ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
              "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key",
-             "seed-key", "off-grid-window"],
+             "seed-key", "off-grid-window", "fractional-S", "fractional-P", "fractional-grid"],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, overrides):
         cfg = write_config(tmp_path, **overrides)

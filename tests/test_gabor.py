@@ -166,10 +166,10 @@ class TestRieszBounds:
         assert np.all(np.abs(smax - sv[:, 0]) <= tol)
         assert np.all(np.abs(smin - sv[:, -1]) <= tol)
 
-    def test_dlas2_branches_match_svd_oracle(self):
-        # each branch of dlas2 on [[f, g], [0, h]], which is its own R: f = h
-        # = 0, one zero diagonal entry, g below and above the larger diagonal
-        # entry, and g so large that max(f, h) / g underflows to zero
+    def test_two_by_two_cases_match_svd_oracle(self):
+        # the closed 2 x 2 formula on [[f, g], [0, h]], which is its own R:
+        # f = h = 0, one zero diagonal entry, g below and above the larger
+        # diagonal entry, and g so large that max(f, h) / g underflows to zero
         fgh = np.array([
             (0.0, 0.0, 0.0), (0.0, 3.0, 0.0), (0.0, 3.0, 4.0), (4.0, 3.0, 0.0), (2.0, 0.0, 0.0),
             (2.0, 0.0, 3.0), (5.0, 3.0, 2.0), (3.0, 5.0, 2.0), (2.0, 2.0, 2.0), (1e-8, 1.0, 1e-8),
