@@ -71,10 +71,15 @@ def load_config(path: str | None) -> dict:
     if path:
         try:
             with open(path) as fh:
-                cfg.update(json.load(fh))
+                user = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}")
+        if not isinstance(user, dict):
+            raise ConfigError(f"config {path} must be a JSON object, got {type(user).__name__}")
+        cfg.update(user)
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG) - {"matrix"})
+    if isinstance(cfg["lattice"], dict):
+        unknown += sorted(f"lattice.{k}" for k in set(cfg["lattice"]) - {"P", "Q"})
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}")
     return cfg
@@ -103,6 +108,13 @@ def parse_rational(text) -> Fraction:
         raise ConfigError(f"bad rational {text!r}: {exc}")
 
 
+def config_matrix(cfg: dict) -> RationalMatrix2 | None:
+    """The exact 'matrix' entry of cfg, or None when it is absent or empty."""
+    if not cfg.get("matrix"):
+        return None
+    return RationalMatrix2(*(parse_rational(t) for t in cfg["matrix"]))
+
+
 def build_generator(cfg: dict):
     recipe = cfg["recipe"]
     if recipe == "box":
@@ -121,8 +133,9 @@ def build_system(cfg: dict):
     """
     g = build_generator(cfg)
     red = None
-    if cfg.get("matrix"):
-        red = lattice_reduce(RationalMatrix2(*(parse_rational(t) for t in cfg["matrix"])))
+    A = config_matrix(cfg)
+    if A is not None:
+        red = lattice_reduce(A)
         lat = gabor.SeparableLattice(red.P, red.Q)
     else:
         spec = cfg.get("lattice", {})
@@ -306,10 +319,7 @@ def cmd_metaplectic(cfg: dict, args) -> int:
     alpha = parse_rational(cfg["alpha"])
     m = config_int(cfg, "chirp_m")
     rep = metaplectic.check_zak_formulas(g, alpha, m)
-    if "matrix" in cfg and cfg["matrix"]:
-        S = RationalMatrix2(*(parse_rational(t) for t in cfg["matrix"]))
-    else:
-        S = RationalMatrix2(0, 1, -1, 0)
+    S = config_matrix(cfg) or RationalMatrix2(0, 1, -1, 0)
     steps = sl2_factorize(S)
     body = {
         "schema": 1,
@@ -471,9 +481,7 @@ PROPTEST_SUITES = {
 def cmd_proptest(cfg: dict, args) -> int:
     suite = PROPTEST_SUITES.get(args.suite)
     if suite is None:
-        print(f"unknown suite {args.suite!r}; choose from {sorted(PROPTEST_SUITES)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(PROPTEST_SUITES)}")
     if args.cases < 1:
         raise ConfigError(f"--cases must be at least 1, got {args.cases}")
     print(f"suite {args.suite} (seed={args.seed}, cases={args.cases})")

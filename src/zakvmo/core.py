@@ -211,15 +211,22 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
     return complex(np.vdot(gv, fv)) / s
 
 
+def place(values, j0: int, s: int, cells=None) -> SampledFunction:
+    """Samples at the global nodes j0, j0 + 1, ... of (1/s)Z, zero-extended
+    onto the integer cells [k0, k1), or onto their integer hull when cells
+    is None.  This is the one rule that puts samples on cells."""
+    k0, k1 = cells if cells is not None else (j0 // s, -((-(j0 + len(values))) // s))
+    out = np.zeros((k1 - k0) * s, dtype=np.complex128)
+    off = j0 - k0 * s
+    out[off : off + len(values)] = values
+    return SampledFunction(s, k0, k1, out)
+
+
 def embed(f: SampledFunction, k0: int, k1: int) -> SampledFunction:
     """Zero-extend f onto the cells [k0, k1), which must contain its support."""
     if k0 > f.k_min or k1 < f.k_max:
         raise ValueError(f"cells [{k0}, {k1}) do not contain the support [{f.k_min}, {f.k_max})")
-    s = f.samples_per_unit
-    out = np.zeros((k1 - k0) * s, dtype=np.complex128)
-    off = (f.k_min - k0) * s
-    out[off : off + len(f.values)] = f.values
-    return SampledFunction(s, k0, k1, out)
+    return place(f.values, f.j_min, f.samples_per_unit, (k0, k1))
 
 
 def tf_shift(f: SampledFunction, shift) -> SampledFunction:
@@ -231,16 +238,8 @@ def tf_shift(f: SampledFunction, shift) -> SampledFunction:
     """
     u, eta = shift
     s = f.samples_per_unit
-    du = node_index(u, s, "u")
-    j0 = f.j_min + du
-    k0 = j0 // s
-    k1 = -((-(j0 + len(f.values))) // s)  # ceil division
-    out = np.zeros((k1 - k0) * s, dtype=np.complex128)
-    off = j0 - k0 * s
-    out[off : off + len(f.values)] = f.values
-    x = np.arange(k0 * s, k1 * s) / s
-    out *= np.exp(2j * np.pi * float(eta) * x)
-    return SampledFunction(s, k0, k1, out)
+    g = place(f.values, f.j_min + node_index(u, s, "u"), s)
+    return SampledFunction(s, g.k_min, g.k_max, g.values * np.exp(2j * np.pi * float(eta) * g.grid()))
 
 
 def fourier_transform(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -177,14 +178,15 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
     )
 
 
-def _translates(g: SampledFunction, lat: SeparableLattice, trunc: int, lo: int, hi: int) -> np.ndarray:
-    """Rows pi(m/Q, nP) g for |m|, |n| <= trunc, zero-extended onto cells [lo, hi)."""
-    shifts = range(-trunc, trunc + 1)
-    return np.array([
-        embed(tf_shift(g, (Fraction(m, lat.Q), n * lat.P)), lo, hi).values
-        for m in shifts
-        for n in shifts
-    ])
+def _translates(
+    g: SampledFunction, lat: SeparableLattice, pairs, *extra
+) -> tuple[tuple[int, int], np.ndarray]:
+    """((lo, hi), rows): pi(m/Q, nP) g for each (m, n) of pairs, then each
+    extra function, zero-extended onto the cell hull [lo, hi) of g and them."""
+    fs = [tf_shift(g, (Fraction(m, lat.Q), n * lat.P)) for m, n in pairs] + list(extra)
+    lo, hi = min(f.k_min for f in [g, *fs]), max(f.k_max for f in [g, *fs])
+    rows = np.array([embed(f, lo, hi).values for f in fs])
+    return (lo, hi), rows.reshape(len(fs), (hi - lo) * g.samples_per_unit)  # also with no rows
 
 
 def gram_riesz_oracle(g: SampledFunction, lat: SeparableLattice, trunc: int) -> tuple[float, float]:
@@ -202,9 +204,7 @@ def gram_riesz_oracle(g: SampledFunction, lat: SeparableLattice, trunc: int) -> 
         raise GridError(
             f"modulation frequency trunc*P = {trunc * P} aliases at S = {s}"
         )
-    pad = -((-trunc) // Q) + 1
-    lo, hi = g.k_min - pad, g.k_max + pad
-    vecs = _translates(g, lat, trunc, lo, hi)
+    _, vecs = _translates(g, lat, product(range(-trunc, trunc + 1), repeat=2))
     gram = vecs @ vecs.conj().T / s
     eig = np.linalg.eigvalsh((gram + gram.conj().T) / 2)
     return float(max(eig[0], 0.0)), float(eig[-1])
@@ -247,17 +247,11 @@ def resynthesize(
     g: SampledFunction, lat: SeparableLattice, coeffs: dict
 ) -> SampledFunction:
     """Time-domain sum  sum c_{m,n} pi(m/Q, nP) g  over the sparse map."""
-    P, Q = lat.P, lat.Q
     s = g.samples_per_unit
-    if s % Q != 0:
+    if s % lat.Q != 0:
         raise GridError("samples_per_unit must be divisible by Q")
-    mmax = max((abs(m) for m, _ in coeffs), default=0)
-    pad = -((-mmax) // Q) + 1
-    lo, hi = g.k_min - pad, g.k_max + pad
-    out = np.zeros((hi - lo) * s, dtype=np.complex128)
-    for (m, n), c in coeffs.items():
-        out += c * embed(tf_shift(g, (Fraction(m, Q), n * P)), lo, hi).values
-    return SampledFunction(s, lo, hi, out)
+    (lo, hi), rows = _translates(g, lat, coeffs)
+    return SampledFunction(s, lo, hi, np.array(list(coeffs.values()), dtype=complex) @ rows)
 
 
 @dataclass(eq=False)
@@ -375,11 +369,8 @@ def projection_residual_oracle(
     pi(u, eta) g to the span of { pi(m/Q, nP) g : |m|, |n| <= trunc }."""
     u, eta = as_fraction(u), as_fraction(eta)
     target = tf_shift(g, (float(u), float(eta)))
-    pad = -((-trunc) // lat.Q) + 2
-    lo = min(g.k_min - pad, target.k_min)
-    hi = max(g.k_max + pad, target.k_max)
-    V = _translates(g, lat, trunc, lo, hi)
-    t = embed(target, lo, hi).values
+    _, rows = _translates(g, lat, product(range(-trunc, trunc + 1), repeat=2), target)
+    V, t = rows[:-1], rows[-1]
     c, *_ = np.linalg.lstsq(V.T, t, rcond=None)
     resid = t - V.T @ c
     return float(np.linalg.norm(resid) / np.linalg.norm(t))

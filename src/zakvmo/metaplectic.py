@@ -34,6 +34,7 @@ from .core import (
     embed,
     fourier_transform,
     inner_product,
+    place,
     tf_shift,
 )
 from .symplectic import GeneratorStep, RationalMatrix2, as_fraction, sl2_factorize, steps_matrix
@@ -54,20 +55,11 @@ def apply_dilation(f: SampledFunction, mu) -> SampledFunction:
     s = f.samples_per_unit
     if s % q != 0:
         raise GridError(f"dilation {mu}: denominator {q} must divide S = {s}")
-    s_out = s * p // q
-    neg = mu < 0
-    # input grid indices j cover [k_min S, k_max S); output node j/S_out
-    # corresponds to input node (sign) j / S
-    j0, j1 = f.k_min * s, f.k_max * s
-    if neg:
-        j0, j1 = -(j1 - 1), -j0 + 1
-    k0 = j0 // s_out
-    k1 = -((-j1) // s_out)
-    out = np.zeros((k1 - k0) * s_out, dtype=np.complex128)
-    src = f.values[::-1] if neg else f.values
-    off = j0 - k0 * s_out
-    out[off : off + len(src)] = src
-    return SampledFunction(s_out, k0, k1, math.sqrt(p / q) * out)
+    src = math.sqrt(p / q) * f.values
+    # output node j / S_out reads input node (sign) j / S
+    if mu < 0:
+        return place(src[::-1], -(f.k_max * s - 1), s * p // q)
+    return place(src, f.j_min, s * p // q)
 
 
 def apply_chirp(f: SampledFunction, beta) -> SampledFunction:

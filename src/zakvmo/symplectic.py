@@ -75,20 +75,6 @@ class RationalMatrix2:
         return ",".join(format_fraction(q) for q in (self.a, self.b, self.c, self.d))
 
 
-J_MATRIX = RationalMatrix2(0, 1, -1, 0)
-
-
-def dilation_matrix(alpha) -> RationalMatrix2:
-    alpha = as_fraction(alpha)
-    if alpha == 0:
-        raise ValueError("dilation parameter must be nonzero")
-    return RationalMatrix2(alpha, 0, 0, 1 / alpha)
-
-
-def chirp_matrix(beta) -> RationalMatrix2:
-    return RationalMatrix2(1, 0, as_fraction(beta), 1)
-
-
 @dataclass(frozen=True)
 class GeneratorStep:
     """One generator: kind 'J', 'dilation' or 'chirp' with rational parameter."""
@@ -112,10 +98,10 @@ class GeneratorStep:
 
     def matrix(self) -> RationalMatrix2:
         if self.kind == "J":
-            return J_MATRIX
+            return RationalMatrix2(0, 1, -1, 0)
         if self.kind == "dilation":
-            return dilation_matrix(self.param)
-        return chirp_matrix(self.param)
+            return RationalMatrix2(self.param, 0, 0, 1 / self.param)
+        return RationalMatrix2(1, 0, self.param, 1)
 
     def as_dict(self) -> dict:
         d = {"kind": self.kind}

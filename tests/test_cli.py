@@ -366,8 +366,9 @@ class TestExitCodes:
         cfg = write_config(tmp_path, nx=48)
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), "zak"]) == 2
 
-    def test_unknown_suite(self, tmp_path):
+    def test_unknown_suite(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "proptest", "bogus"]) == 2
+        assert capsys.readouterr().err.startswith("config error: unknown suite 'bogus'")
 
     @pytest.mark.parametrize(
         "command, overrides",
@@ -385,13 +386,21 @@ class TestExitCodes:
             ("riesz", {"S": 64.5}),
             ("riesz", {"lattice": {"P": 2.7, "Q": 1}}),
             ("riesz", {"nx": 32.9, "nw": 32.9}),
+            ("riesz", {"lattice": {"P": 2, "Q": 1, "R": 7}}),
+            ("riesz", [["S", 32], ["nx", 32], ["nw", 32]]),
+            ("riesz", "S"),
         ],
         ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
              "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key",
-             "seed-key", "off-grid-window", "fractional-S", "fractional-P", "fractional-grid"],
+             "seed-key", "off-grid-window", "fractional-S", "fractional-P", "fractional-grid",
+             "unknown-lattice-key", "top-level-pairs", "top-level-string"],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, overrides):
-        cfg = write_config(tmp_path, **overrides)
+        if isinstance(overrides, dict):
+            cfg = write_config(tmp_path, **overrides)
+        else:  # the whole file is this JSON value, not an object
+            cfg = str(tmp_path / "raw.json")
+            Path(cfg).write_text(json.dumps(overrides))
         assert main(["--config", cfg, "--out", str(tmp_path / "o"), command]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 

@@ -1,13 +1,18 @@
 """Property tests (hypothesis) for the Zak field: the inverse transform
 recovers random sample tables, and the extension read ``ScalarField2D.at``
 agrees with the defining sum at nodes up to three periods outside [0, 1)^2.
+On the same tables, a grid-exact time shift and a rational dilation each
+undo themselves, the placement of samples on cells included.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zakvmo.core import sample_function
+from zakvmo.core import embed, sample_function, tf_shift
+from zakvmo.metaplectic import apply_dilation
 from zakvmo.zak import inverse_zak, zak_transform
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -72,3 +77,23 @@ def test_extension_read_matches_the_defining_sum(case, data):
     got = zak_transform(f, nx, nw).at(ix, iw)
     want = np.array([_defining_sum(f, nx, nw, a, b) for a, b in nodes])
     assert np.max(np.abs(got - want)) <= 1e-9 * _scale(f)
+
+
+@PROPERTY
+@given(sampled_tables(), st.integers(-48, 48))
+def test_time_shift_round_trip_is_exact(case, k):
+    f = case[0]
+    u = Fraction(k, f.samples_per_unit)  # a grid-exact shift of up to three cells
+    back = tf_shift(tf_shift(f, (u, 0)), (-u, 0))  # f on a hull of zero-padded cells
+    assert np.array_equal(back.values, embed(f, back.k_min, back.k_max).values)
+
+
+@PROPERTY
+@given(sampled_tables(), st.sampled_from(["1/2", "-1/2", "2", "-2", "3/2", "-3/2"]))
+def test_dilation_round_trip(case, mu):
+    f = case[0]
+    mu = Fraction(mu)
+    back = apply_dilation(apply_dilation(f, mu), 1 / mu)
+    assert back.samples_per_unit == f.samples_per_unit
+    want = embed(f, back.k_min, back.k_max).values
+    assert np.max(np.abs(back.values - want)) <= 1e-15 * _scale(f)
