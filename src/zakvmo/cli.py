@@ -76,6 +76,8 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"cannot read config {path}: {exc}")
         if not isinstance(user, dict):
             raise ConfigError(f"config {path} must be a JSON object, got {type(user).__name__}")
+        if "matrix" in user and "lattice" in user:
+            raise ConfigError(f"config {path} sets both 'matrix' and 'lattice'; give one")
         cfg.update(user)
     unknown = sorted(set(cfg) - set(DEFAULT_CONFIG) - {"matrix"})
     if isinstance(cfg["lattice"], dict):

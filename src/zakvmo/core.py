@@ -250,7 +250,9 @@ def fourier_transform(
     Computes ghat(w_m) = (1/S) sum_j f(x_j) exp(-2 pi i x_j w_m), i.e. the
     rectangle-rule quadrature of the Fourier integral at the output nodes.
     By default the output grid mirrors the input: same sample rate, support
-    the symmetric hull [-c, c) with c = max(|k_min|, |k_max|, 1).
+    the symmetric hull [-c, c) with c = max(|k_min|, |k_max|, 1).  The phase
+    x_j w_m = j m / N, N = S * S_out: one length-N FFT of the samples folded
+    by j mod N, read at m mod N, gives every output in O(n + N log N) time.
     """
     s_out = int(out_S) if out_S is not None else f.samples_per_unit
     if out_support is None:
@@ -267,12 +269,8 @@ def fourier_transform(
             f"output frequencies reach the alias image: need |w| <= S/2 = "
             f"{f.samples_per_unit // 2}; raise samples_per_unit"
         )
-    x = f.grid()
-    w = np.arange(k0 * s_out, k1 * s_out) / s_out
-    out = np.empty(len(w), dtype=np.complex128)
-    block = max(1, 2**22 // max(len(x), 1))
-    for i in range(0, len(w), block):
-        wb = w[i : i + block]
-        out[i : i + block] = np.exp(-2j * np.pi * np.outer(wb, x)) @ f.values
-    out /= f.samples_per_unit
-    return SampledFunction(s_out, k0, k1, out)
+    n = f.samples_per_unit * s_out
+    j = (f.j_min + np.arange(len(f.values))) % n
+    folded = np.bincount(j, f.values.real, n) + 1j * np.bincount(j, f.values.imag, n)
+    out = np.fft.fft(folded)[np.arange(k0 * s_out, k1 * s_out) % n]
+    return SampledFunction(s_out, k0, k1, out / f.samples_per_unit)

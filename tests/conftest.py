@@ -52,3 +52,12 @@ def lattice_gram(g, matrix, r=2):
     lo, hi = min(f.k_min for f in shifts), max(f.k_max for f in shifts)
     V = np.array([embed(f, lo, hi).values for f in shifts])
     return V.conj() @ V.T / g.samples_per_unit
+
+
+def dense_fourier(f, out_S, out_support):
+    """(1/S) sum_j f(x_j) exp(-2 pi i x_j w_m) at w_m = m / out_S for
+    m / out_S in [k0, k1), as one dense exp(outer) product: the quadrature
+    sum written out, an oracle for core.fourier_transform."""
+    k0, k1 = out_support
+    w = np.arange(k0 * out_S, k1 * out_S) / out_S
+    return np.exp(-2j * np.pi * np.outer(w, f.grid())) @ f.values / f.samples_per_unit

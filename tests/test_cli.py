@@ -30,6 +30,8 @@ def write_config(tmp_path, **overrides):
         "tol": 1e-6,
         "eps_list": [0.0625, 0.015625, 0.00390625],
     }
+    if "matrix" in overrides:  # a matrix lattice excludes the default lattice
+        del cfg["lattice"]
     cfg.update(overrides)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -389,11 +391,12 @@ class TestExitCodes:
             ("riesz", {"lattice": {"P": 2, "Q": 1, "R": 7}}),
             ("riesz", [["S", 32], ["nx", 32], ["nw", 32]]),
             ("riesz", "S"),
+            ("riesz", {"matrix": ["2", "1", "0", "1"], "lattice": {"P": 3, "Q": 2}}),
         ],
         ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
              "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key",
              "seed-key", "off-grid-window", "fractional-S", "fractional-P", "fractional-grid",
-             "unknown-lattice-key", "top-level-pairs", "top-level-string"],
+             "unknown-lattice-key", "top-level-pairs", "top-level-string", "matrix-and-lattice"],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, overrides):
         if isinstance(overrides, dict):

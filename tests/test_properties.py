@@ -2,7 +2,8 @@
 recovers random sample tables, and the extension read ``ScalarField2D.at``
 agrees with the defining sum at nodes up to three periods outside [0, 1)^2.
 On the same tables, a grid-exact time shift and a rational dilation each
-undo themselves, the placement of samples on cells included.
+undo themselves, the placement of samples on cells included, and the
+folded-FFT Fourier transform agrees with the dense quadrature sum.
 """
 
 from fractions import Fraction
@@ -11,7 +12,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zakvmo.core import embed, sample_function, tf_shift
+from conftest import dense_fourier
+from zakvmo.core import embed, fourier_transform, sample_function, tf_shift
 from zakvmo.metaplectic import apply_dilation
 from zakvmo.zak import inverse_zak, zak_transform
 
@@ -97,3 +99,29 @@ def test_dilation_round_trip(case, mu):
     assert back.samples_per_unit == f.samples_per_unit
     want = embed(f, back.k_min, back.k_max).values
     assert np.max(np.abs(back.values - want)) <= 1e-15 * _scale(f)
+
+
+def _assert_matches_dense_sum(f, out_S, out_support):
+    got = fourier_transform(f, out_S, out_support)
+    assert (got.samples_per_unit, got.k_min, got.k_max) == (out_S, *out_support)
+    tol = 1e-12 * np.sum(np.abs(f.values)) / f.samples_per_unit
+    assert np.max(np.abs(got.values - dense_fourier(f, out_S, out_support))) <= tol
+
+
+@PROPERTY
+@given(sampled_tables(), st.data())
+def test_fourier_transform_matches_the_dense_sum(case, data):
+    f = case[0]
+    s = f.samples_per_unit
+    out_S = data.draw(st.sampled_from([s, 16, 2 * s]))
+    k0 = data.draw(st.integers(-s // 2, s // 2 - 1))
+    k1 = data.draw(st.integers(k0 + 1, s // 2))  # up to the Nyquist edge
+    _assert_matches_dense_sum(f, out_S, (k0, k1))
+
+
+def test_fourier_transform_matches_the_dense_sum_off_powers_of_two():
+    # the shape uncertainty_product uses: S = 48 onto a 1/16 grid
+    rng = np.random.default_rng(48)
+    n = 16 * 48
+    f = sample_function(("table", rng.normal(size=n) + 1j * rng.normal(size=n)), (-8, 8), 48)
+    _assert_matches_dense_sum(f, 16, (-24, 24))
