@@ -1,8 +1,8 @@
 """Hot inner-loop kernels, vectorized in numpy.
 
-``osc_scan`` computes the mean oscillation of every cube of one size in a
-window; ``gagliardo_pairs`` sums the banded Gagliardo pair differences of
-a sampled function.  ``tests/test_kernels.py`` checks both
+``osc_scan`` computes the mean oscillation of the cubes of one size at a
+vector of anchors; ``gagliardo_pairs`` sums the banded Gagliardo pair
+differences of a sampled function.  ``tests/test_kernels.py`` checks both
 against plain-loop reference implementations.
 """
 
@@ -11,16 +11,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def osc_scan(window, means, sx, sy):
-    """Mean of |window - means| over every sx-by-sy cube of the window."""
-    na = window.shape[0] - sx + 1
-    nb = window.shape[1] - sy + 1
-    out = np.zeros((na, nb))
-    for a in range(sx):
-        for b in range(sy):
-            out += np.abs(window[a : a + na, b : b + nb] - means)
-    out /= sx * sy
-    return out
+def osc_scan(window, prefix, a, b, sx, sy):
+    """Mean of |window - mean| over the sx-by-sy cube of the window at each
+    anchor (a[k], b[k]), one value per anchor.  The mean is the box sum of
+    the prefix-sum table, read at the anchor, over sx * sy; the cells add up
+    one by one in C order (the rows of a (sx * sy, k) gather), as a table
+    scan adds them, so every value has the table scan's bits."""
+    da, db = np.divmod(np.arange(sx * sy), sy)
+    mean = (prefix[a + sx, b + sy] - prefix[a, b + sy] - prefix[a + sx, b] + prefix[a, b]) / (sx * sy)
+    nw = window.shape[1]
+    cells = window.ravel()[(a * nw + b)[None, :] + (da * nw + db)[:, None]]
+    cells -= mean
+    cells = np.abs(cells)
+    np.cumsum(cells, axis=0, out=cells)  # a strict running sum, never pairwise
+    return cells[-1] / (sx * sy)
 
 
 def gagliardo_pairs(vals, h, band, expo):

@@ -138,7 +138,8 @@ class ScalarField2D:
         wrap = ix // nx
         wraps, row = np.unique(wrap, return_inverse=True)  # one phase row per wrap
         phase = np.exp(2j * np.pi * (wraps[:, None] * (np.arange(nw) / nw)))
-        return phase[row.reshape(wrap.shape), mm] * self.values[ix - wrap * nx, mm]
+        row = row.reshape(wrap.shape)  # flat gathers: a multi-index one walks its short last axis
+        return phase.ravel()[row * nw + mm] * self.values.ravel()[(ix - wrap * nx) * nw + mm]
 
     def window(self, i0: int, j0: int, ni: int, nj: int) -> np.ndarray:
         """Values for the global index ranges [i0,i0+ni) x [j0,j0+nj)."""

@@ -17,9 +17,14 @@ cell average.
 essinf/esssup on sampled fields are node minima/maxima and are flagged as
 grid-level proxies in reports.
 
-One small-cube supremum, :func:`_window_sup` over the exhaustive
-``_kernels.osc_scan`` tables, serves the decay sweep (whole window, with
-its witness cube) and the inequality checker (random subwindows).
+One small-cube supremum, :func:`_window_sup`, serves the decay sweep (whole
+window, with its witness cube) and the inequality checker (random
+subwindows).  It is an exact branch and bound: ``_kernels.osc_scan``
+evaluates M_Q only where the Cauchy-Schwarz bound M_Q <= sqrt(mean_Q|F|^2 -
+|F_Q|^2), from prefix sums, plus a stated rounding margin reaches the best
+so far, so S and its witness keep the bits of the exhaustive scan.  A cube
+whose bound is below the floor 1e-12 sup|F| is never evaluated, which can
+move only an S made of rounding.
 """
 
 from __future__ import annotations
@@ -139,34 +144,66 @@ def _box_sums(prefix: np.ndarray, sx: int, sy: int) -> np.ndarray:
     )
 
 
-def _osc_arrays(W: np.ndarray, sides) -> dict:
-    """(sx, sy) -> oscillation of every sx-by-sy cube of W, for every
-    (side, sx, sy) of sides."""
-    pre = _prefix(W)
-    return {
-        (sx, sy): _kernels.osc_scan(W, _box_sums(pre, sx, sy) / (sx * sy), sx, sy)
-        for _, sx, sy in sides
-    }
+def _osc_bounds(W: np.ndarray, sides):
+    """(W, floor, bounds): bounds maps each (sx, sy) of sides to (C, mu_err,
+    grow), with M_Q <= (C + mu_err) * grow at every anchor.  C = sqrt(var_Q
+    + var_err), from prefix sums of D = W - W[0, 0] (so a flat field gives
+    C ~ 0) and of |D|^2; var_err and mu_err bound the rounding of a box sum,
+    sqrt(2) (4 (ni + nj) + 16) u (u the unit roundoff) times the summed
+    magnitudes over A = sx * sy; grow = 1 + (A + 16) u.  The C tables share
+    one block, so no heap holes outlive the call."""
+    u = np.finfo(float).eps / 2
+    floor = max(1e-12 * float(np.abs(W).max()), np.finfo(float).tiny)
+    D = W - W.flat[0]
+    sq = D.real**2 + D.imag**2
+    R = math.sqrt(sq.max())
+    g = math.sqrt(2) * (4 * sum(W.shape) + 16) * u  # sqrt(2): |Re z| + |Im z| <= sqrt(2) |z|
+    var_err, mu_err = g * float(sq.sum() + 3 * R * np.sqrt(sq).sum()), g * float(np.abs(W).sum())
+    p1, p2 = _prefix(D), _prefix(sq)
+    del D, sq
+    shapes = [(W.shape[0] - sx + 1, W.shape[1] - sy + 1) for _, sx, sy in sides]
+    block, end, bounds = np.empty(sum(a * b for a, b in shapes)), 0, {}
+    for (_, sx, sy), (na, nb) in zip(sides, shapes):
+        A, end = sx * sy, end + na * nb
+        var = np.divide(_box_sums(p2, sx, sy), A, out=block[end - na * nb : end].reshape(na, nb))
+        var -= np.abs(_box_sums(p1, sx, sy) / A) ** 2
+        var += var_err / A + 8 * u * R * R
+        bounds[sx, sy] = (np.sqrt(np.maximum(var, 0.0, out=var), out=var), mu_err / A + 2 * u * R, 1 + (A + 16) * u)
+    return W, floor, bounds
 
 
 def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.inf):
     """(S, where): S is the largest oscillation of a cube of sides, with area
     below cap, that lies inside the wi-by-wj subwindow at (i, j) of the
-    :func:`_osc_arrays` tables osc; where = (side, sx, sy, a, b) is the first
+    :func:`_osc_bounds` data osc; where = (side, sx, sy, a, b) is the first
     cube that attains it, in side order and then C order, anchored at node
     (a, b) of the scanned window.  (0.0, None) when no cube fits."""
-    best, where = 0.0, None
-    for side, sx, sy in sides:
-        if side * side >= cap or sx > wi or sy > wj:
-            continue
-        sub = osc[(sx, sy)][i : i + wi - sx + 1, j : j + wj - sy + 1]
-        if sub.size:
-            k = int(sub.argmax())
-            val = float(sub.flat[k])
-            if val > best or where is None:
-                a, b = divmod(k, sub.shape[1])
-                best, where = val, (side, sx, sy, i + a, j + b)
-    return best, where
+    W, floor, bounds = osc  # sides descend; anchors by descending bound
+    fits = [k for k, (side, sx, sy) in enumerate(sides) if side * side < cap and sx <= wi and sy <= wj]
+    if not fits:
+        return 0.0, None
+    best, where, pre = 0.0, None, _prefix(W)
+    for k in reversed(fits):
+        _, sx, sy = sides[k]
+        C, mu_err, grow = bounds[sx, sy]
+        sub = C[i : i + wi - sx + 1, j : j + wj - sy + 1]
+        cand = np.flatnonzero(sub >= max(floor, best / grow - mu_err))
+        cand = cand[np.argsort(-sub.flat[cand], kind="stable")]
+        pos, size = 0, 8
+        while pos < cand.size:
+            take = cand[pos : pos + size]
+            take = take[sub.flat[take] >= max(floor, best / grow - mu_err)]
+            if not take.size:
+                break
+            vals = _kernels.osc_scan(W, pre, take // sub.shape[1] + i, take % sub.shape[1] + j, sx, sy)
+            top = vals.max()
+            first = (k, *divmod(int(take[vals == top].min()), sub.shape[1]))
+            if top > best or (top == best > 0 and first < where):
+                best, where = top, first
+            pos, size = pos + size, max(1, 8192 // (sx * sy))  # gathers of <= 2^13 cells
+    k, a, b = where if best > 0 else (fits[0], 0, 0)
+    side, sx, sy = sides[k]
+    return float(best), (side, sx, sy, i + a, j + b)
 
 
 def _block_stats(W: np.ndarray, i: int, j: int, a: int, b: int):
@@ -194,15 +231,16 @@ def _admissible_sides(field: ScalarField2D, ni: int, nj: int, eps: float):
 
 def _sup_profile(field: ScalarField2D, rect, eps_list) -> list:
     """(S_eps, witness cube) for each eps: :func:`_window_sup` over the whole
-    window of rect, one scan of the cubes of area < max(eps_list) serving
-    every eps; the witness is None when no cube has area < eps.  The scan is
-    exhaustive at grid resolution, so S_eps is a lower bound for the true
-    supremum."""
+    window of rect, on one set of bound tables for the cubes of area
+    < max(eps_list); the witness is None when no cube has area < eps.  The
+    scan prunes by the Cauchy-Schwarz bound plus its rounding margin and
+    skips cubes below the floor 1e-12 sup|F|, yet returns the exhaustive
+    scan's S_eps at grid resolution, a lower bound for the true supremum."""
     i0, j0, ni, nj = _rect_window(field, rect)
     sides = _admissible_sides(field, ni, nj, max(eps_list))
     if not sides:
         raise GridError(f"eps = {max(eps_list)} admits no grid cube inside the window")
-    osc = _osc_arrays(field.window(i0, j0, ni, nj), sides)
+    osc = _osc_bounds(field.window(i0, j0, ni, nj), sides)
     out = []
     for eps in eps_list:
         s, where = _window_sup(osc, sides, 0, 0, ni, nj, eps)
@@ -492,7 +530,7 @@ def check_inequalities(
     results = [_cases("product_mean", n_cases, product_mean)]
 
     # S_{eps,U}(FG) <= 3/2 max(||F||,||G||) (S(F) + S(G)) on random subwindows
-    scans = {key: _osc_arrays(W, sides) for key, W in (("F", WF), ("G", WG), ("P", WP))}
+    scans = {key: _osc_bounds(W, sides) for key, W in (("F", WF), ("G", WG), ("P", WP))}
 
     def product_osc_sup():
         i, j, wi, wj = window(16, 16, 48)
@@ -521,7 +559,7 @@ def check_inequalities(
         r_low = InequalityResult("mean_lower_bound", precondition_ok=False)
         r_inv = InequalityResult("inverse_osc_sup", precondition_ok=False)
     else:
-        inv_osc = _osc_arrays(1.0 / WF, ok_sides)
+        inv_osc = _osc_bounds(1.0 / WF, ok_sides)
 
         def mean_lower_bound():
             i, j, sx, sy = cube(ok_sides)
@@ -551,7 +589,7 @@ def check_inequalities(
 
     # Product of several factors vs the telescoped constant.
     WH = 0.5 * (WF + WG)
-    scans["H"] = _osc_arrays(WH, sides)
+    scans["H"] = _osc_bounds(WH, sides)
     c_const = prods_constant([sup_f, sup_g, float(np.max(np.abs(WH)))])
     rhs_sum = c_const * sum(_window_sup(scans[k], sides, 0, 0, ni, nj)[0] for k in "FGH")
     W3 = WF * WG * WH

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from zakvmo import vmo
 from zakvmo.core import embed, sample_function, tf_shift
 
 
@@ -61,3 +63,43 @@ def dense_fourier(f, out_S, out_support):
     k0, k1 = out_support
     w = np.arange(k0 * out_S, k1 * out_S) / out_S
     return np.exp(-2j * np.pi * np.outer(w, f.grid())) @ f.values / f.samples_per_unit
+
+
+def osc_table(window, means, sx, sy):
+    """Mean of |window - means| over every sx-by-sy cube of the window, the
+    cells added in C order from 0: the exhaustive table scan."""
+    na = window.shape[0] - sx + 1
+    nb = window.shape[1] - sy + 1
+    out = np.zeros((na, nb))
+    for a in range(sx):
+        for b in range(sy):
+            out += np.abs(window[a : a + na, b : b + nb] - means)
+    out /= sx * sy
+    return out
+
+
+def oracle_osc_arrays(W, sides):
+    """(sx, sy) -> osc_table of W, for every (side, sx, sy) of sides; the
+    exhaustive stand-in for vmo._osc_bounds."""
+    pre = vmo._prefix(W)
+    return {
+        (sx, sy): osc_table(W, vmo._box_sums(pre, sx, sy) / (sx * sy), sx, sy)
+        for _, sx, sy in sides
+    }
+
+
+def oracle_window_sup(osc, sides, i, j, wi, wj, cap=math.inf):
+    """vmo._window_sup over the oracle_osc_arrays tables osc: each side's
+    first argmax in C order, sides in order, a strictly larger value wins."""
+    best, where = 0.0, None
+    for side, sx, sy in sides:
+        if side * side >= cap or sx > wi or sy > wj:
+            continue
+        sub = osc[(sx, sy)][i : i + wi - sx + 1, j : j + wj - sy + 1]
+        if sub.size:
+            k = int(sub.argmax())
+            val = float(sub.flat[k])
+            if val > best or where is None:
+                a, b = divmod(k, sub.shape[1])
+                best, where = val, (side, sx, sy, i + a, j + b)
+    return best, where

@@ -1,10 +1,13 @@
 """The vectorized kernels in ``zakvmo._kernels`` against plain-loop
-reference implementations that evaluate each definition term by term.
+reference implementations that evaluate each definition term by term, and
+the anchor-vector oscillation kernel against the exhaustive table scan,
+bit for bit.
 """
 
 import numpy as np
 
-from zakvmo import _kernels
+from conftest import osc_table
+from zakvmo import _kernels, vmo
 
 
 def _reference_osc(window, sx, sy):
@@ -32,14 +35,17 @@ def _reference_gagliardo(vals, h, band, expo):
 def test_osc_scan_matches_reference():
     rng = np.random.default_rng(5)
     w = rng.standard_normal((17, 13)) + 1j * rng.standard_normal((17, 13))
-    for sx, sy in ((2, 3), (4, 4), (5, 1)):
-        means = np.empty((17 - sx + 1, 13 - sy + 1), dtype=complex)
-        for i in range(means.shape[0]):
-            for j in range(means.shape[1]):
-                means[i, j] = w[i : i + sx, j : j + sy].mean()
-        got = _kernels.osc_scan(w, means, sx, sy)
+    pre = vmo._prefix(w)
+    for sx, sy in ((2, 3), (4, 4), (5, 1), (1, 1), (17, 13)):
         ref = _reference_osc(w, sx, sy)
-        assert np.allclose(got, ref, atol=1e-13)
+        a, b = (v.ravel() for v in np.indices(ref.shape))
+        got = _kernels.osc_scan(w, pre, a, b, sx, sy)
+        assert np.allclose(got, ref.ravel(), atol=1e-13)
+        # the same bits as the table scan, at any anchors in any order
+        table = osc_table(w, vmo._box_sums(pre, sx, sy) / (sx * sy), sx, sy)
+        pick = rng.permutation(a.size)[: max(1, a.size // 3)]
+        got = _kernels.osc_scan(w, pre, a[pick], b[pick], sx, sy)
+        assert np.array_equal(got, table.ravel()[pick])
 
 
 def test_gagliardo_matches_reference():

@@ -3,8 +3,13 @@ recovers random sample tables, and the extension read ``ScalarField2D.at``
 agrees with the defining sum at nodes up to three periods outside [0, 1)^2.
 On the same tables, a grid-exact time shift and a rational dilation each
 undo themselves, the placement of samples on cells included, and the
-folded-FFT Fourier transform agrees with the dense quadrature sum.
+folded-FFT Fourier transform agrees with the dense quadrature sum.  The
+flat-index extension read gives the bits of a broadcast multi-index read,
+and the pruned small-cube supremum gives the bits of the exhaustive table
+scan, value and witness cube.
 """
+
+import math
 
 from fractions import Fraction
 
@@ -12,8 +17,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_fourier
-from zakvmo.core import embed, fourier_transform, sample_function, tf_shift
+from conftest import dense_fourier, oracle_osc_arrays, oracle_window_sup
+from zakvmo import vmo
+from zakvmo.core import ScalarField2D, embed, fourier_transform, sample_function, tf_shift
 from zakvmo.metaplectic import apply_dilation
 from zakvmo.zak import inverse_zak, zak_transform
 
@@ -125,3 +131,69 @@ def test_fourier_transform_matches_the_dense_sum_off_powers_of_two():
     n = 16 * 48
     f = sample_function(("table", rng.normal(size=n) + 1j * rng.normal(size=n)), (-8, 8), 48)
     _assert_matches_dense_sum(f, 16, (-24, 24))
+
+
+def _broadcast_read(F, ix, iw):
+    """The quasi-periodic extension read as two broadcast multi-index
+    gathers, phase[row, mm] * values[ix - wrap * nx, mm]."""
+    nx, nw = F.values.shape
+    mm, wrap = np.mod(iw, nw), ix // nx
+    wraps, row = np.unique(wrap, return_inverse=True)
+    phase = np.exp(2j * np.pi * (wraps[:, None] * (np.arange(nw) / nw)))
+    return phase[row.reshape(wrap.shape), mm] * F.values[ix - wrap * nx, mm]
+
+
+@PROPERTY
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1), st.booleans())
+def test_flat_index_read_matches_the_broadcast_read(nx, nw, seed, blocks):
+    rng = np.random.default_rng(seed)
+    F = ScalarField2D(rng.standard_normal((nx, nw)) + 1j * rng.standard_normal((nx, nw)), "quasiperiodic")
+    shape_x, shape_w = ((3, 1, 2), (1, 5, 1)) if blocks else ((4, 1), (1, 7))
+    ix = rng.integers(-3 * nx, 4 * nx, size=shape_x)
+    iw = rng.integers(-3 * nw, 4 * nw, size=shape_w)
+    assert np.array_equal(F.at(ix, iw), _broadcast_read(F, ix, iw))
+
+
+@st.composite
+def osc_windows(draw):
+    """(W, sides, i, j, wi, wj, cap): a random complex field, the same
+    rounded to small integers (exact ties), or one constant along w (every
+    anchor of a column ties), on an n-by-n or n-by-2n grid or its transpose;
+    the admissible sides of a random eps; a random subwindow and cap."""
+    n = draw(st.integers(2, 20))
+    shape = (n, draw(st.sampled_from([1, 2])) * n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    W = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kind = draw(st.sampled_from(["complex", "integer", "w-constant"]))
+    if kind == "integer":
+        W = np.round(2 * W)
+    elif kind == "w-constant":
+        W = np.repeat(W[:, :1], shape[1], axis=1)
+    if draw(st.booleans()):
+        W = np.ascontiguousarray(W.T)
+    ni, nj = W.shape
+    F = ScalarField2D(W)
+    sides = vmo._admissible_sides(F, ni, nj, draw(st.floats(1e-3, 1.0))) or vmo._admissible_sides(F, ni, nj, 2.0)
+    wi, wj = draw(st.integers(1, ni)), draw(st.integers(1, nj))
+    i, j = draw(st.integers(0, ni - wi)), draw(st.integers(0, nj - wj))
+    cap = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 1.0)))
+    return F.values, sides, i, j, wi, wj, cap
+
+
+@settings(PROPERTY, max_examples=150)
+@given(osc_windows())
+def test_pruned_supremum_matches_the_table_scan(case):
+    W, sides, *window = case
+    got = vmo._window_sup(vmo._osc_bounds(W, sides), sides, *window)
+    assert got == oracle_window_sup(oracle_osc_arrays(W, sides), sides, *window)
+
+
+@PROPERTY
+@given(osc_windows(), st.integers(0, 2**32 - 1))
+def test_pruned_supremum_of_a_flat_field_is_within_the_floor(case, seed):
+    W, sides, *window = case
+    rng = np.random.default_rng(seed)
+    W = 1 + 1e-16 * (rng.standard_normal(W.shape) + 1j * rng.standard_normal(W.shape))
+    got = vmo._window_sup(vmo._osc_bounds(W, sides), sides, *window)[0]
+    want = oracle_window_sup(oracle_osc_arrays(W, sides), sides, *window)[0]
+    assert abs(got - want) <= 1e-12 * np.max(np.abs(W))

@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import oracle_osc_arrays, oracle_window_sup
+from zakvmo import vmo
+from zakvmo.cli import DEFAULT_CONFIG
 from zakvmo.core import GridError, ScalarField2D, sample_function
 from zakvmo.vmo import (
     Cube,
@@ -254,6 +258,32 @@ class TestDecayProfiles:
         rep = vmo_decay_profile(F, (0.5, 1.0, 0.25, 0.75), [(4.5 / n) ** 2], floor=0.0)
         assert rep.s_values == [0.5]
         assert rep.witness == Cube(0.75, 9 / 32, 1 / 16)
+
+
+class TestPrunedScanMemory:
+    @staticmethod
+    def traced_profile(Z):
+        """(report, peak traced bytes) of one decay profile, after a warm-up."""
+        args = (Z, (0, 1, 0, 1), DEFAULT_CONFIG["eps_list"])
+        vmo_decay_profile(*args)
+        tracemalloc.start()
+        try:
+            rep = vmo_decay_profile(*args)
+            return rep, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("recipe", ["gaussian", "box_sine"])
+    def test_peak_stays_near_the_table_scan(self, recipe, monkeypatch):
+        # the bound tables replace the oscillation tables one for one; the
+        # exact values are gathered in bounded chunks and never kept
+        Z = zak_transform(sample_function(recipe, (-8, 8), 84), 84, 84)
+        rep, peak = self.traced_profile(Z)
+        monkeypatch.setattr(vmo, "_osc_bounds", oracle_osc_arrays)
+        monkeypatch.setattr(vmo, "_window_sup", oracle_window_sup)
+        want, table_peak = self.traced_profile(Z)
+        assert (rep.s_values, rep.witness) == (want.s_values, want.witness)
+        assert peak <= 1.25 * table_peak
 
 
 class TestInequalities:
