@@ -121,7 +121,7 @@ def build_generator(cfg: dict):
     recipe = cfg["recipe"]
     if recipe == "box":
         a, b = cfg.get("box", [0.0, 1.0])
-        recipe = ("box", float(a), float(b))
+        recipe = ("box", float(parse_rational(a)), float(parse_rational(b)))
     return sample_function(recipe, tuple(cfg["support"]), config_int(cfg, "S"))
 
 

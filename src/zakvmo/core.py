@@ -271,7 +271,16 @@ def fourier_transform(
             f"{f.samples_per_unit // 2}; raise samples_per_unit"
         )
     n = f.samples_per_unit * s_out
-    j = (f.j_min + np.arange(len(f.values))) % n
-    folded = np.bincount(j, f.values.real, n) + 1j * np.bincount(j, f.values.imag, n)
-    out = np.fft.fft(folded)[np.arange(k0 * s_out, k1 * s_out) % n]
+    out = np.fft.fft(fold(f.values, f.j_min, n))[np.arange(k0 * s_out, k1 * s_out) % n]
     return SampledFunction(s_out, k0, k1, out / f.samples_per_unit)
+
+
+def fold(values, j0: int, n: int) -> np.ndarray:
+    """Each row of samples at the nodes j0, j0 + 1, ... summed by j mod n, for a
+    length-n FFT to read: the one fold of the FFT path.  One bincount over the
+    row-major flattening adds each bin's samples in node order."""
+    rows = np.reshape(values, (-1, np.shape(values)[-1]))
+    j = (np.arange(len(rows))[:, None] * n + (j0 + np.arange(rows.shape[1])) % n).ravel()
+    size = len(rows) * n
+    out = np.bincount(j, rows.real.ravel(), size) + 1j * np.bincount(j, rows.imag.ravel(), size)
+    return out.reshape(np.shape(values)[:-1] + (n,))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import GridError, SampledFunction, embed, fourier_transform
+from .core import GridError, SampledFunction, embed, fold, fourier_transform
 
 # Relative last increment below which each sweep counts as saturated.
 _MOMENT_REL_TOL = 1e-8
@@ -122,9 +122,7 @@ def weighted_moment(g: SampledFunction, spec, radii) -> DivergenceSweep:
         spec = MomentSpec(*spec)
     x = g.grid() - spec.center
     weight = np.abs(x) ** spec.exponent * np.abs(g.values) ** 2
-    partials = []
-    for r in radii:
-        partials.append(float(np.sum(weight[np.abs(x) <= r]) / g.samples_per_unit))
+    partials = [float(np.sum(weight[np.abs(x) <= r]) / g.samples_per_unit) for r in radii]
     return _sweep(radii, partials, _MOMENT_REL_TOL, "radius")
 
 
@@ -148,9 +146,7 @@ def uncertainty_product(
         raise ValueError(f"exponents are not Holder-dual: 1/{p} + 1/{q} != 1")
     rmax = int(math.ceil(max(radii))) + 1
     ghat = fourier_transform(g, out_S=_FREQ_OUT_S, out_support=(-rmax, rmax))
-    time_sweep = weighted_moment(g, MomentSpec(q, alpha), radii)
-    freq_sweep = weighted_moment(ghat, MomentSpec(p, beta), radii)
-    return time_sweep, freq_sweep
+    return weighted_moment(g, MomentSpec(q, alpha), radii), weighted_moment(ghat, MomentSpec(p, beta), radii)
 
 
 def gagliardo_seminorm(g: SampledFunction, s: float, radii) -> DivergenceSweep:
@@ -174,8 +170,7 @@ def gagliardo_seminorm(g: SampledFunction, s: float, radii) -> DivergenceSweep:
     big, x = ext.values, ext.grid()
 
     def banded(r, band):
-        vals = np.ascontiguousarray(big[np.abs(x) <= r])
-        return _kernels.gagliardo_pairs(vals, h, int(band), expo)
+        return _kernels.gagliardo_pairs(big[np.abs(x) <= r], h, int(band), expo)
 
     sat = [banded(r, _GAGLIARDO_BANDS[0]) for r in sorted(radii)]
     radius_sweep = _sweep(sorted(radii), sat, _GAGLIARDO_REL_TOL, "radius")
@@ -183,10 +178,8 @@ def gagliardo_seminorm(g: SampledFunction, s: float, radii) -> DivergenceSweep:
     axis_vals = [1.0 / (b * h) for b in _GAGLIARDO_BANDS]
     sweep = _sweep(axis_vals, partials, _GAGLIARDO_REL_TOL, "one_over_band")
     if not radius_sweep.converged and sweep.converged:
-        return DivergenceSweep(
-            axis_vals, partials, False, None, radius_sweep.growth_shape,
-            radius_sweep.growth_rate, "one_over_band",
-        )
+        shape, rate = radius_sweep.growth_shape, radius_sweep.growth_rate
+        return DivergenceSweep(axis_vals, partials, False, None, shape, rate, "one_over_band")
     return sweep
 
 
@@ -198,6 +191,10 @@ def feichtinger_norm_estimate(g: SampledFunction, radii=(2, 4, 8, 16)) -> Diverg
     Membership in the modulation-type algebra shows up as saturation;
     box-like generators produce logarithmically growing partials.  The
     sampled transform aliases at |v| ~ S, so radii are capped at S/4.
+    At x = j / S and v_k = v_0 + k v_step the phase is x v_0 + j k / n with
+    n = S / v_step: each windowed row, modulated by v_0, is folded mod n by
+    ``core.fold`` and read off one FFT at -k (the kernel is e^{+2 pi i x v}),
+    in O(n log n) per row where a dense kernel product costs O(n_x n_v).
     """
     t_step, v_step = _FEICHTINGER_GRID
     vmax = float(max(radii))
@@ -209,9 +206,8 @@ def feichtinger_norm_estimate(g: SampledFunction, radii=(2, 4, 8, 16)) -> Diverg
     t = np.arange(g.k_min - 6, g.k_max + 6 + 1e-9, t_step)
     v = np.arange(-vmax, vmax + 1e-9, v_step)
     x = g.grid()
-    window = np.exp(-((x[None, :] - t[:, None]) ** 2)) * g.values[None, :]
-    kernel = np.exp(2j * np.pi * np.outer(x, v))
-    mag = np.abs(window @ kernel) / g.samples_per_unit  # (t, v)
-    cell = t_step * v_step
-    partials = [float(mag[:, np.abs(v) <= r].sum() * cell) for r in radii]
+    n = round(g.samples_per_unit / v_step)
+    window = np.exp(-((x[None, :] - t[:, None]) ** 2)) * (g.values * np.exp(2j * np.pi * v[0] * x))
+    mag = np.abs(np.fft.fft(fold(window, g.j_min, n))[:, -np.arange(len(v)) % n]) / g.samples_per_unit
+    partials = [float(mag[:, np.abs(v) <= r].sum() * (t_step * v_step)) for r in radii]
     return _sweep(radii, partials, _FEICHTINGER_REL_TOL, "radius")

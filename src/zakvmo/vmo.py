@@ -145,13 +145,13 @@ def _box_sums(prefix: np.ndarray, sx: int, sy: int) -> np.ndarray:
 
 
 def _osc_bounds(W: np.ndarray, sides):
-    """(W, floor, bounds): bounds maps each (sx, sy) of sides to (C, mu_err,
-    grow), with M_Q <= (C + mu_err) * grow at every anchor.  C = sqrt(var_Q
-    + var_err), from prefix sums of D = W - W[0, 0] (so a flat field gives
-    C ~ 0) and of |D|^2; var_err and mu_err bound the rounding of a box sum,
-    sqrt(2) (4 (ni + nj) + 16) u (u the unit roundoff) times the summed
-    magnitudes over A = sx * sy; grow = 1 + (A + 16) u.  The C tables share
-    one block, so no heap holes outlive the call."""
+    """(W, floor, bounds, pre): bounds maps each (sx, sy) of sides to (C,
+    mu_err, grow), with M_Q <= (C + mu_err) * grow at every anchor.  C =
+    sqrt(var_Q + var_err), from prefix sums of D = W - W[0, 0] (so a flat
+    field gives C ~ 0) and of |D|^2; var_err and mu_err bound the rounding of
+    a box sum, sqrt(2) (4 (ni + nj) + 16) u (u the unit roundoff) times the
+    summed magnitudes over A = sx * sy; grow = 1 + (A + 16) u.  The C tables
+    share one block; pre, the prefix table of W, serves every query."""
     u = np.finfo(float).eps / 2
     floor = max(1e-12 * float(np.abs(W).max()), np.finfo(float).tiny)
     D = W - W.flat[0]
@@ -169,7 +169,8 @@ def _osc_bounds(W: np.ndarray, sides):
         var -= np.abs(_box_sums(p1, sx, sy) / A) ** 2
         var += var_err / A + 8 * u * R * R
         bounds[sx, sy] = (np.sqrt(np.maximum(var, 0.0, out=var), out=var), mu_err / A + 2 * u * R, 1 + (A + 16) * u)
-    return W, floor, bounds
+    del p1, p2
+    return W, floor, bounds, _prefix(W)
 
 
 def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.inf):
@@ -178,11 +179,11 @@ def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.
     :func:`_osc_bounds` data osc; where = (side, sx, sy, a, b) is the first
     cube that attains it, in side order and then C order, anchored at node
     (a, b) of the scanned window.  (0.0, None) when no cube fits."""
-    W, floor, bounds = osc  # sides descend; anchors by descending bound
+    W, floor, bounds, pre = osc  # sides descend; anchors by descending bound
     fits = [k for k, (side, sx, sy) in enumerate(sides) if side * side < cap and sx <= wi and sy <= wj]
     if not fits:
         return 0.0, None
-    best, where, pre = 0.0, None, _prefix(W)
+    best, where = 0.0, None
     for k in reversed(fits):
         _, sx, sy = sides[k]
         C, mu_err, grow = bounds[sx, sy]
@@ -273,13 +274,8 @@ class OscillationReport:
             "floor": self.floor,
             "monotone": self.monotone,
         }
-        if self.witness is not None:
-            d["witness"] = {
-                "cx": self.witness.cx,
-                "cw": self.witness.cw,
-                "side": self.witness.side,
-                "oscillation": self.witness_value,
-            }
+        if (w := self.witness) is not None:
+            d["witness"] = {"cx": w.cx, "cw": w.cw, "side": w.side, "oscillation": self.witness_value}
         return d
 
 
@@ -424,9 +420,7 @@ class _TrigPoly2:
         ph, shape = self._phases(x, w)
         gx = (ph @ (2j * np.pi * self.a * self.c)).reshape(shape)
         gw = (ph @ (2j * np.pi * self.b * self.c)).reshape(shape)
-        if self.real:
-            return gx.real, gw.real
-        return gx, gw
+        return (gx.real, gw.real) if self.real else (gx, gw)
 
 
 def _cube_nodes(cube: Cube, n: int):
@@ -497,11 +491,9 @@ def check_inequalities(
     if F.values.shape != G.values.shape:
         raise ValueError("fields must share a grid")
     i0, j0, ni, nj = _rect_window(F, U)
-    WF = F.window(i0, j0, ni, nj)
-    WG = G.window(i0, j0, ni, nj)
+    WF, WG = F.window(i0, j0, ni, nj), G.window(i0, j0, ni, nj)
     WP = WF * WG
-    sup_f = float(np.max(np.abs(WF)))
-    sup_g = float(np.max(np.abs(WG)))
+    sup_f, sup_g = float(np.max(np.abs(WF))), float(np.max(np.abs(WG)))
 
     sides = _admissible_sides(F, ni, nj, eps)
     if not sides:

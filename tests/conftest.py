@@ -65,6 +65,15 @@ def dense_fourier(f, out_S, out_support):
     return np.exp(-2j * np.pi * np.outer(w, f.grid())) @ f.values / f.samples_per_unit
 
 
+def dense_feichtinger(g, t, v):
+    """|(1/S) sum_j e^{-(x_j - t)^2} g(x_j) e^{2 pi i x_j v}| at every (t, v),
+    as one dense exp(outer) kernel product: the quadrature sum written out,
+    an oracle for uncertainty.feichtinger_norm_estimate."""
+    x = g.grid()
+    window = np.exp(-((x[None, :] - t[:, None]) ** 2)) * g.values[None, :]
+    return np.abs(window @ np.exp(2j * np.pi * np.outer(x, v))) / g.samples_per_unit
+
+
 def osc_table(window, means, sx, sy):
     """Mean of |window - means| over every sx-by-sy cube of the window, the
     cells added in C order from 0: the exhaustive table scan."""

@@ -277,6 +277,18 @@ class TestSubcommands:
             assert header == f"{unc[key]['axis']},partial_value"
             assert rows == list(zip(unc[key]["radii"], unc[key]["partials"]))
 
+    def test_box_edges_take_rationals(self, tmp_path):
+        # ROADMAP item 11's box [0, 1/6) at S = 48: "1/6" is the float box
+        runs = []
+        for edge in ("1/6", 0.16666666666666666):
+            cfg = write_config(tmp_path, recipe="box", box=["0", edge], support=[0, 1], S=48)
+            out = tmp_path / str(len(runs))
+            assert main(["--config", cfg, "--out", str(out), "uncertainty"]) == 0
+            unc = json.loads((out / "uncertainty.json").read_text())
+            del unc["config"]
+            runs.append(unc)
+        assert runs[0] == runs[1]
+
     def test_demo_runs(self, tmp_path, capsys):
         out = tmp_path / "demo"
         assert main(["--out", str(out), "demo"]) == 0

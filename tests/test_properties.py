@@ -6,7 +6,9 @@ undo themselves, the placement of samples on cells included, and the
 folded-FFT Fourier transform agrees with the dense quadrature sum.  The
 flat-index extension read gives the bits of a broadcast multi-index read,
 and the pruned small-cube supremum gives the bits of the exhaustive table
-scan, value and witness cube.
+scan, value and witness cube.  The FFT Gagliardo pair sum agrees with the
+loop over pair distances, on random vectors and on smooth fields, and the
+folded-FFT Feichtinger partials with the dense exponential kernel.
 """
 
 import math
@@ -14,13 +16,16 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_fourier, oracle_osc_arrays, oracle_window_sup
-from zakvmo import vmo
+from conftest import dense_feichtinger, dense_fourier, oracle_osc_arrays, oracle_window_sup
+from test_kernels import loop_gagliardo
+from zakvmo import _kernels, vmo
 from zakvmo.core import ScalarField2D, embed, fourier_transform, sample_function, tf_shift
 from zakvmo.metaplectic import apply_dilation
+from zakvmo.uncertainty import _FEICHTINGER_GRID, feichtinger_norm_estimate
 from zakvmo.zak import inverse_zak, zak_transform
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
@@ -131,6 +136,47 @@ def test_fourier_transform_matches_the_dense_sum_off_powers_of_two():
     n = 16 * 48
     f = sample_function(("table", rng.normal(size=n) + 1j * rng.normal(size=n)), (-8, 8), 48)
     _assert_matches_dense_sum(f, 16, (-24, 24))
+
+
+@PROPERTY
+@given(st.integers(1, 300), st.integers(0, 2**32 - 1), st.data())
+def test_gagliardo_pairs_match_the_loop(n, seed, data):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    band = data.draw(st.integers(1, n + 1))
+    h = data.draw(st.sampled_from([1.0, 0.25, 1 / 48]))
+    expo = data.draw(st.sampled_from([1.2, 2.0, 2.8]))
+    got, want = _kernels.gagliardo_pairs(v, h, band, expo), loop_gagliardo(v, h, band, expo)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("chirp", [0.0, 1.0], ids=["gaussian", "chirp"])
+def test_gagliardo_pairs_of_smooth_fields_match_the_loop(chirp):
+    # smooth samples cancel worst: at band 1 every difference is small
+    # against the energies that the FFT form subtracts
+    x = np.arange(-8 * 384, 8 * 384 + 1) / 384
+    v = np.exp(-(x**2)) * np.exp(1j * np.pi * chirp * x**2)
+    got, want = _kernels.gagliardo_pairs(v, 1 / 384, 1, 2.0), loop_gagliardo(v, 1 / 384, 1, 2.0)
+    assert abs(got - want) <= 1e-10 * want
+
+
+@PROPERTY
+@given(
+    st.sampled_from([48, 64, 96]), st.integers(-2, 2), st.integers(1, 4), st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from([1, 1.3, 2, 2.5, 4, 7.125, 12]), min_size=2, max_size=4, unique=True),
+)
+def test_feichtinger_partials_match_the_dense_kernel(s, k0, cells, seed, radii):
+    rng = np.random.default_rng(seed)
+    n = cells * s
+    g = sample_function(("table", rng.standard_normal(n) + 1j * rng.standard_normal(n)), (k0, k0 + cells), s)
+    radii = sorted(radii)
+    t_step, v_step = _FEICHTINGER_GRID
+    t = np.arange(g.k_min - 6, g.k_max + 6 + 1e-9, t_step)
+    v = np.arange(-radii[-1], radii[-1] + 1e-9, v_step)
+    mag = dense_feichtinger(g, t, v)
+    want = [float(mag[:, np.abs(v) <= r].sum() * t_step * v_step) for r in radii]
+    got = feichtinger_norm_estimate(g, radii).partials
+    assert np.max(np.abs(np.subtract(got, want)) / want) <= 1e-12
 
 
 def _broadcast_read(F, ix, iw):
