@@ -103,6 +103,14 @@ def config_int(spec: dict, key: str) -> int:
     raise ConfigError(f"{key} must be an integer, got {value!r}")
 
 
+def config_positive(spec: dict, key: str) -> float:
+    """spec[key], a finite number > 0, as a float; else a ConfigError naming the key."""
+    value = spec[key]
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and 0 < value <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{key} must be a finite number > 0, got {value!r}")
+
+
 def parse_rational(text) -> Fraction:
     try:
         return Fraction(str(text))
@@ -254,7 +262,7 @@ def cmd_riesz(cfg: dict, args) -> int:
 def cmd_invariance(cfg: dict, args) -> int:
     g, lat, (u, eta), reduction = build_system(cfg)
     riesz = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
-    rep = gabor.invariance_solve(riesz, u, eta, float(cfg["tol"]))
+    rep = gabor.invariance_solve(riesz, u, eta, config_positive(cfg, "tol"))
     write_report(_out(args, "invariance.json"), rep, config_hash(cfg), reduction)
     print(f"invariance: residual={rep.max_residual:.3g} verdict={rep.verdict}")
     return EXIT_OK
@@ -264,7 +272,7 @@ def cmd_vmo(cfg: dict, args) -> int:
     g, _, _, reduction = build_system(cfg)
     Z = zak.zak_transform(g, config_int(cfg, "nx"), config_int(cfg, "nw"))
     rep = vmo.vmo_decay_profile(
-        Z, tuple(cfg["window"]), list(cfg["eps_list"]), float(cfg["vmo_floor"])
+        Z, tuple(cfg["window"]), list(cfg["eps_list"]), config_positive(cfg, "vmo_floor")
     )
     h = config_hash(cfg)
     write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (rep.eps_list, rep.s_values))
@@ -280,10 +288,10 @@ def cmd_analyze(cfg: dict, args) -> int:
     writes nothing."""
     g, lat, (u, eta), reduction = build_system(cfg)
     riesz_rep = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
-    inv_rep = gabor.invariance_solve(riesz_rep, u, eta, float(cfg["tol"]))
+    inv_rep = gabor.invariance_solve(riesz_rep, u, eta, config_positive(cfg, "tol"))
     prof = vmo.vmo_decay_profile(
         riesz_rep.zak, tuple(cfg["window"]), list(cfg["eps_list"]),
-        float(cfg["vmo_floor"]),
+        config_positive(cfg, "vmo_floor"),
     )
     h = config_hash(cfg)
     write_report(_out(args, "riesz.json"), riesz_rep, h, reduction)

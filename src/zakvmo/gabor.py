@@ -92,27 +92,57 @@ def shift_matrix(Q: int, w: np.ndarray) -> np.ndarray:
 
 
 def _qr_sigma(mats: np.ndarray):
-    """(Q, R, sigma_max, sigma_min) of a stack of p x q blocks by one reduced QR
-    (of the conjugate transposes if p < q).  The k x k triangle R, k = min(p, q),
-    has their singular values: |r11|, a closed 2 x 2 formula on |R|, or SVD."""
+    """(reflectors, R, sigma_max, sigma_min) of a stack of N p x q blocks by one
+    Householder QR (of the conjugate transposes if p < q), each step on all blocks
+    at once in the column-major (p, q, N) layout: as zlarfg, I - w w* maps x =
+    X[j:, j] to -phase(x_0) |x| e_1 (|x| scaled by max |x_i|), w = 0 where x[1:] = 0.
+    R, the (N, k, q) view of the k x k triangle, k = min(p, q), has the blocks'
+    singular values: |r11|, a closed 2 x 2 formula on |R|, or SVD."""
     p, q = mats.shape[-2:]
-    Qm, Rm = np.linalg.qr(mats if p >= q else mats.conj().swapaxes(-1, -2))
-    if min(p, q) != 2:
-        sv = np.abs(Rm[..., :1, 0]) if min(p, q) == 1 else np.linalg.svd(Rm, compute_uv=False)
-        return Qm, Rm, sv[..., 0], sv[..., -1]
+    X = np.array(mats.transpose(1, 2, 0) if p >= q else mats.conj().transpose(2, 1, 0), order="C")
+    k, reflectors = min(p, q), []
+    for j in range(min(k, max(p, q) - 1)):
+        x = X[j:, j]
+        ax = np.abs(x)
+        s = np.maximum(ax.max(axis=0), np.finfo(float).tiny)
+        norm = s * np.sqrt(np.sum((ax / s) ** 2, axis=0))
+        live = ax[1:].max(axis=0) > 0
+        phase = x[0] * (1 / np.where(ax[0] > 0, ax[0], 1)) + (ax[0] == 0)  # 1 at x_0 = 0
+        c = np.divide(1, np.sqrt(norm) * np.sqrt(norm + ax[0]), out=np.zeros_like(norm), where=live)
+        w = x * c  # |w| = sqrt 2 where live
+        w[0] = phase * ((ax[0] + norm) * c)
+        x[0], x[1:] = np.where(live, -norm * phase, x[0]), 0
+        X[j:, j + 1:] -= w[:, None] * np.sum(w.conj()[:, None] * X[j:, j + 1:], axis=0)
+        reflectors.append(w)
+    R = X[:k].transpose(2, 0, 1)
+    if k != 2:
+        sv = np.abs(R[..., :1, 0]) if k == 1 else np.linalg.svd(R, compute_uv=False)
+        return reflectors, R, sv[..., 0], sv[..., -1]
     # R = [[f, g], [0, h]] up to phases: smax +- smin = |(f +- h, g)|, smax * smin = f h
-    f, g, h = np.abs((Rm[..., 0, 0], Rm[..., 0, 1], Rm[..., 1, 1]))
+    f, g, h = np.abs((X[0, 0], X[0, 1], X[1, 1]))
     smax = 0.5 * (np.hypot(f + h, g) + np.hypot(f - h, g))
     smin = f * np.divide(h, smax, out=np.zeros_like(smax), where=smax > 0)
-    return Qm, Rm, smax, smin
+    return reflectors, R, smax, smin
+
+
+def _qr_solve(qr: tuple, b: np.ndarray) -> np.ndarray:
+    """Least-squares solutions of full-rank blocks (p >= q) factored by :func:`_qr_sigma`
+    for (p, N) right-hand sides b, in place: b becomes Q* b, then F in its first q rows."""
+    reflectors, R = qr[0], qr[1].transpose(1, 2, 0)
+    for j, w in enumerate(reflectors):
+        b[j:] -= w * np.sum(w.conj() * b[j:], axis=0)
+    F = b[: len(R)]
+    for i in range(len(R) - 1, -1, -1):  # back-substitution; |r_ii| >= sigma_min > 0
+        F[i] = (F[i] - np.sum(R[i, i + 1:] * F[i + 1:], axis=0)) / R[i, i]
+    return F
 
 
 @dataclass(eq=False)
 class RieszReport:
     """Scanned singular-value bounds of the lattice matrix field, with what
     later stages reuse: the Zak grid, the (nx // P, nw, P, Q) field A of
-    :func:`zz_matrix`, and ``qr``, the QR factors of its blocks in C order
-    (``_qr_sigma``)."""
+    :func:`zz_matrix`, and ``qr``, the Householder reflectors and R of its
+    blocks in C order (``_qr_sigma``); no Q is formed."""
 
     a_est: float
     b_est: float
@@ -155,7 +185,7 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
     Zg = zak_transform(g, nx, nw)
     A = zz_matrix(Zg, lat)
     P, Q = lat.P, lat.Q
-    Qm, Rm, smax, smin = _qr_sigma(A.reshape(-1, P, Q))
+    reflectors, Rm, smax, smin = _qr_sigma(A.reshape(-1, P, Q))
     smax = smax.reshape(A.shape[:2])
     smin = smin.reshape(A.shape[:2]) if P >= Q else np.zeros_like(smax)
     b_est = float(smax.max() ** 2 / P)
@@ -174,7 +204,7 @@ def riesz_bounds(g: SampledFunction, lat: SeparableLattice, nx: int, nw: int) ->
         zak_sup=float(np.max(np.abs(Zg.values))),
         zak=Zg,
         field=A,
-        qr=(Qm, Rm),
+        qr=(reflectors, Rm),
     )
 
 
@@ -302,9 +332,10 @@ def invariance_solve(riesz: RieszReport, u, eta, tol: float = 1e-6) -> Invarianc
     unitary Pi(w), so the least-squares F is 1/P-periodic in x: the solve
     runs on the blocks of the period rectangle x < 1/P, and ``f_field`` is
     the (Q, nx // P, nw) solution there.  Each node is solved with the
-    reduced QR of its P x Q block kept on ``riesz``, F = R^{-1} Q* rhs.
-    ``max_residual`` is the sup over nodes of the least-squares residual norm
-    relative to the sup of the right-hand-side norm.  Verdict bands:
+    factors of its P x Q block kept on ``riesz``: its reflectors turn rhs
+    into Q* rhs in place, and back-substitution on R gives F (``_qr_solve``).
+    ``max_residual`` is the sup over nodes of the residual norm of A F - rhs,
+    A the kept field, relative to the sup of the right-hand-side norm.  Verdict bands:
     invariant below tol, inconclusive in [tol, 10 tol), not-invariant above.
     Irrational shifts are rejected; pass Fractions or 'p/q' strings.
     """
@@ -326,16 +357,13 @@ def invariance_solve(riesz: RieszReport, u, eta, tol: float = 1e-6) -> Invarianc
 
     ix, k = np.arange(J)[:, None], np.arange(P)[:, None, None]
     phase = np.exp(2j * np.pi * float(eta) * (ix / nx)) * np.exp(-2j * np.pi * float(eta) * k / P)
-    bm = (phase * Z.at(ix - du - k * J, np.arange(nw) - de)).reshape(P, -1).T  # (J nw, P)
-    Qm, Rm = riesz.qr
-    Fm = (Qm.conj().transpose(0, 2, 1) @ bm[:, :, None])[:, :, 0]
-    for i in range(Q - 1, -1, -1):  # back-substitution in place; |r_ii| >= sigma_min > 0
-        Fm[:, i] = (Fm[:, i] - np.sum(Rm[:, i, i + 1:] * Fm[:, i + 1:], axis=1)) / Rm[:, i, i]
-    res = (riesz.field.reshape(-1, P, Q) @ Fm[:, :, None])[:, :, 0] - bm
-    res_norm = np.linalg.norm(res, axis=1)
-    rhs_norm = np.linalg.norm(bm, axis=1)
+    bm = (phase * Z.at(ix - du - k * J, np.arange(nw) - de)).reshape(P, -1)  # (P, J nw)
+    Fm = _qr_solve(riesz.qr, bm.copy())
+    res = np.einsum("npq,qn->pn", riesz.field.reshape(-1, P, Q), Fm) - bm
+    res_norm = np.linalg.norm(res, axis=0)
+    rhs_norm = np.linalg.norm(bm, axis=0)
     max_residual = float(res_norm.max() / max(rhs_norm.max(), 1e-300))
-    Fp = Fm.reshape(J, nw, Q).transpose(2, 0, 1)
+    Fp = Fm.reshape(Q, J, nw)
 
     if max_residual < tol:
         verdict = "invariant"

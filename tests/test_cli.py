@@ -200,24 +200,26 @@ class TestSubcommands:
     @pytest.mark.parametrize("command", ["analyze", "invariance"])
     @pytest.mark.parametrize("P, Q", [(2, 1), (3, 2)])
     def test_one_qr_per_lattice_run(self, tmp_path, monkeypatch, command, P, Q):
-        # the Riesz scan factors the blocks once; the invariance solve reuses
-        # the factors, and the singular values come from R without an SVD
-        calls = {"qr": 0, "svd": 0, "solve": 0}
+        # the Riesz scan factors the blocks once, by the batched Householder QR
+        # and with no LAPACK factorization; the invariance solve reuses the
+        # reflectors, and the singular values come from R without an SVD
+        calls = {"qr": 0, "svd": 0, "solve": 0, "_qr_sigma": 0}
 
-        def counted(name):
-            real = getattr(np.linalg, name)
+        def counted(module, name):
+            real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return real(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counted(name))
+        for name in ("qr", "svd", "solve"):
+            counted(np.linalg, name)
+        counted(gabor, "_qr_sigma")
         cfg = write_config(tmp_path, lattice={"P": P, "Q": Q}, S=48, nx=48, nw=48)
         assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 0
-        assert calls == {"qr": 1, "svd": 0, "solve": 0}
+        assert calls == {"qr": 0, "svd": 0, "solve": 0, "_qr_sigma": 1}
 
     @pytest.mark.parametrize("command", ["zak", "metaplectic"])
     def test_identity_checks_share_the_zak_grid(self, tmp_path, monkeypatch, command):
@@ -404,11 +406,17 @@ class TestExitCodes:
             ("riesz", [["S", 32], ["nx", 32], ["nw", 32]]),
             ("riesz", "S"),
             ("riesz", {"matrix": ["2", "1", "0", "1"], "lattice": {"P": 3, "Q": 2}}),
+            ("invariance", {"tol": 1e400}),
+            ("analyze", {"tol": 0}),
+            ("invariance", {"tol": -1}),
+            ("vmo", {"vmo_floor": -1}),
+            ("analyze", {"vmo_floor": 1e400}),
         ],
         ids=["lattice-not-coprime-invariance", "lattice-not-coprime-analyze", "matrix-det-not-1",
              "zero-shift", "zero-alpha", "increasing-eps", "short-window", "unknown-key",
              "seed-key", "off-grid-window", "fractional-S", "fractional-P", "fractional-grid",
-             "unknown-lattice-key", "top-level-pairs", "top-level-string", "matrix-and-lattice"],
+             "unknown-lattice-key", "top-level-pairs", "top-level-string", "matrix-and-lattice",
+             "infinite-tol", "zero-tol", "negative-tol", "negative-vmo-floor", "infinite-vmo-floor"],
     )
     def test_bad_config_value(self, tmp_path, capsys, command, overrides):
         if isinstance(overrides, dict):

@@ -8,7 +8,10 @@ flat-index extension read gives the bits of a broadcast multi-index read,
 and the pruned small-cube supremum gives the bits of the exhaustive table
 scan, value and witness cube.  The FFT Gagliardo pair sum agrees with the
 loop over pair distances, on random vectors and on smooth fields, and the
-folded-FFT Feichtinger partials with the dense exponential kernel.
+folded-FFT Feichtinger partials with the dense exponential kernel.  The
+batched Householder QR of the Riesz blocks gives LAPACK's |R| and the
+least-squares solutions of ``np.linalg.lstsq``, on rank-deficient, badly
+conditioned, zero and near-overflow blocks.
 """
 
 import math
@@ -24,6 +27,7 @@ from conftest import dense_feichtinger, dense_fourier, oracle_osc_arrays, oracle
 from test_kernels import loop_gagliardo
 from zakvmo import _kernels, vmo
 from zakvmo.core import ScalarField2D, embed, fourier_transform, sample_function, tf_shift
+from zakvmo.gabor import _qr_sigma, _qr_solve
 from zakvmo.metaplectic import apply_dilation
 from zakvmo.uncertainty import _FEICHTINGER_GRID, feichtinger_norm_estimate
 from zakvmo.zak import inverse_zak, zak_transform
@@ -243,3 +247,41 @@ def test_pruned_supremum_of_a_flat_field_is_within_the_floor(case, seed):
     got = vmo._window_sup(vmo._osc_bounds(W, sides), sides, *window)[0]
     want = oracle_window_sup(oracle_osc_arrays(W, sides), sides, *window)[0]
     assert abs(got - want) <= 1e-12 * np.max(np.abs(W))
+
+
+@st.composite
+def block_stacks(draw):
+    """(blocks, b, full): a stack of random complex P x Q blocks, P >= Q, with
+    one of each kind: generic, a zero first or last column, rank one, condition
+    number from 1 to 1e8, all zero, and entries near 1e300 and near 1e-300;
+    random right-hand sides b, one column per block; and which blocks have full
+    rank.  (A zero column between two others leaves the rows of R below it free
+    up to their norm, so no QR oracle pins them.)"""
+    P, Q = draw(st.sampled_from([(1, 1), (2, 1), (3, 1), (3, 2), (4, 3), (5, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.standard_normal((7, P, Q)) + 1j * rng.standard_normal((7, P, Q))
+    blocks[1, :, draw(st.sampled_from([0, Q - 1]))] = 0
+    blocks[2] = blocks[2, :, :1] @ blocks[2, :1, :]
+    U, _, Vh = np.linalg.svd(blocks[3], full_matrices=False)
+    blocks[3] = (U * np.logspace(0, -draw(st.floats(0, 8)), Q)) @ Vh
+    blocks[4] = 0
+    blocks[5] *= 1e300
+    blocks[6] *= 1e-300
+    b = rng.standard_normal((P, 7)) + 1j * rng.standard_normal((P, 7))
+    return blocks, b, np.array([True, False, Q == 1, True, False, True, True])
+
+
+@PROPERTY
+@given(block_stacks())
+def test_householder_qr_matches_the_lapack_oracle(case):
+    blocks, b, full = case
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    _, R, _, _ = _qr_sigma(blocks)
+    # R is unique up to the phases of its rows: compare moduli
+    assert np.all(np.abs(np.abs(R) - np.abs(np.linalg.qr(blocks)[1])) <= 1e-12 * sv[:, :1, None])
+    A, kappa = blocks[full], sv[full, 0] / sv[full, -1]
+    F = _qr_solve(_qr_sigma(A)[:2], b[:, full].copy())
+    for i in range(len(A)):
+        x = np.linalg.lstsq(A[i], b[:, full][:, i], rcond=None)[0]
+        s = np.max(np.abs(x))  # the norms of x near 1e+-300 neither overflow nor underflow
+        assert np.linalg.norm((F[:, i] - x) / s) <= 1e-12 * kappa[i] * np.linalg.norm(x / s)
