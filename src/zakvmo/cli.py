@@ -8,8 +8,9 @@ serialization; an identical config produces byte-identical outputs.
 ``--seed`` seeds the proptest suites only and is not part of the config.
 
 Exit codes: 0 ok, 1 property failure, 2 config error, 3 numerical error.
-Every config problem (an unreadable file, a bad value or a combination of
-values the pipelines reject) exits 2 with a message on stderr.
+Every config problem (an unreadable file, a bad value, a combination of
+values the pipelines reject, an unwritable ``--out``) exits 2 with a message
+on stderr.
 """
 
 from __future__ import annotations
@@ -195,15 +196,6 @@ def write_json(path: str, obj: dict) -> None:
     atomic_write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def write_report(path: str, rep, config_hash: str, reduction: dict | None = None) -> None:
-    """A report's as_dict() with the config hash and, if given, the reduction log."""
-    body = rep.as_dict()
-    body["config"] = config_hash
-    if reduction is not None:
-        body["reduction"] = reduction
-    write_json(path, body)
-
-
 def write_csv(path: str, config_hash: str, header, columns) -> None:
     """Write equal-length columns under a config line and a header row; every
     cell is repr(float), run once per distinct bit pattern of a column."""
@@ -217,75 +209,66 @@ def write_csv(path: str, config_hash: str, header, columns) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
-def _node_columns(n_rows: int, nw: int, x_den: int):
-    """x = i / x_den and omega = j / nw for the (i, j) nodes in C order."""
-    return np.repeat(np.arange(n_rows) / x_den, nw), np.tile(np.arange(nw) / nw, n_rows)
+def _node_columns(shape, P: int = 1):
+    """x = i / (nx P) and omega = j / nw for the (i, j) nodes of an (nx, nw) grid in C order."""
+    nx, nw = shape
+    return np.repeat(np.arange(nx) / (nx * P), nw), np.tile(np.arange(nw) / nw, nx)
 
 
-def _out(args, name):
-    return os.path.join(args.out, name)
+def _with_reduction(body: dict, reduction: dict | None) -> dict:
+    if reduction is not None:
+        body["reduction"] = reduction
+    return body
 
 
-def cmd_zak(cfg: dict, args) -> int:
+def cmd_zak(cfg: dict, args) -> tuple[int, dict]:
     g = build_generator(cfg)
-    nx, nw = config_int(cfg, "nx"), config_int(cfg, "nw")
-    h = config_hash(cfg)
-    Z = zak.zak_transform(g, nx, nw)
-    rep = zak.check_zak_identities(g, Z)  # before any file: nx != nw exits 2
-    write_csv(
-        _out(args, "zak.csv"), h, ("x", "omega", "re", "im"),
-        (*_node_columns(nx, nw, nx), Z.values.real, Z.values.imag),
-    )
-    write_json(
-        _out(args, "zak_identities.json"),
-        {"schema": 1, "config": h, "deviations": rep.as_dict(),
-         "unitarity_gap": abs(zak.zak_l2_norm(Z) - g.norm())},
-    )
-    print(f"zak: wrote zak.csv and zak_identities.json (config {h})")
-    return EXIT_OK
+    Z = zak.zak_transform(g, config_int(cfg, "nx"), config_int(cfg, "nw"))
+    rep = zak.check_zak_identities(g, Z)  # nx != nw exits 2
+    print(f"zak: wrote zak.csv and zak_identities.json (config {args.config_hash})")
+    return EXIT_OK, {
+        "zak.csv": (("x", "omega", "re", "im"),
+                    (*_node_columns(Z.values.shape), Z.values.real, Z.values.imag)),
+        "zak_identities.json": {"schema": 1, "deviations": rep.as_dict(),
+                                "unitarity_gap": abs(zak.zak_l2_norm(Z) - g.norm())},
+    }
 
 
-def cmd_riesz(cfg: dict, args) -> int:
+def cmd_riesz(cfg: dict, args) -> tuple[int, dict]:
     g, lat, _, reduction = build_system(cfg)
     rep = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
-    h = config_hash(cfg)
-    write_report(_out(args, "riesz.json"), rep, h, reduction)
-    nxf, nw = rep.sigma_min.shape
-    write_csv(
-        _out(args, "riesz_profile.csv"), h, ("x", "omega", "sigma_min", "sigma_max"),
-        (*_node_columns(nxf, nw, nxf * rep.P), rep.sigma_min, rep.sigma_max),
-    )
     print(f"riesz: A={rep.a_est:.6g} B={rep.b_est:.6g}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "riesz.json": _with_reduction(rep.as_dict(), reduction),
+        "riesz_profile.csv": (("x", "omega", "sigma_min", "sigma_max"), (
+            *_node_columns(rep.sigma_min.shape, rep.P), rep.sigma_min, rep.sigma_max)),
+    }
 
 
-def cmd_invariance(cfg: dict, args) -> int:
+def cmd_invariance(cfg: dict, args) -> tuple[int, dict]:
     g, lat, (u, eta), reduction = build_system(cfg)
     riesz = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
     rep = gabor.invariance_solve(riesz, u, eta, config_positive(cfg, "tol"))
-    write_report(_out(args, "invariance.json"), rep, config_hash(cfg), reduction)
     print(f"invariance: residual={rep.max_residual:.3g} verdict={rep.verdict}")
-    return EXIT_OK
+    return EXIT_OK, {"invariance.json": _with_reduction(rep.as_dict(), reduction)}
 
 
-def cmd_vmo(cfg: dict, args) -> int:
+def cmd_vmo(cfg: dict, args) -> tuple[int, dict]:
     g, _, _, reduction = build_system(cfg)
     Z = zak.zak_transform(g, config_int(cfg, "nx"), config_int(cfg, "nw"))
     rep = vmo.vmo_decay_profile(
         Z, tuple(cfg["window"]), list(cfg["eps_list"]), config_positive(cfg, "vmo_floor")
     )
-    h = config_hash(cfg)
-    write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (rep.eps_list, rep.s_values))
-    write_report(_out(args, "vmo_witness.json"), rep, h, reduction)
     print(f"vmo: verdict={rep.verdict} tail S={rep.s_values[-1]:.4g}")
-    return EXIT_OK
+    return EXIT_OK, {
+        "vmo_profile.csv": (("epsilon", "S"), (rep.eps_list, rep.s_values)),
+        "vmo_witness.json": _with_reduction(rep.as_dict(), reduction),
+    }
 
 
-def cmd_analyze(cfg: dict, args) -> int:
+def cmd_analyze(cfg: dict, args) -> tuple[int, dict]:
     """Reduce the lattice, transport the generator metaplectically, then run
-    the Riesz / invariance / oscillation-profile pipeline on the result.
-    Every stage runs before the first file is written, so a failed run
-    writes nothing."""
+    the Riesz / invariance / oscillation-profile pipeline on the result."""
     g, lat, (u, eta), reduction = build_system(cfg)
     riesz_rep = gabor.riesz_bounds(g, lat, config_int(cfg, "nx"), config_int(cfg, "nw"))
     inv_rep = gabor.invariance_solve(riesz_rep, u, eta, config_positive(cfg, "tol"))
@@ -293,91 +276,80 @@ def cmd_analyze(cfg: dict, args) -> int:
         riesz_rep.zak, tuple(cfg["window"]), list(cfg["eps_list"]),
         config_positive(cfg, "vmo_floor"),
     )
-    h = config_hash(cfg)
-    write_report(_out(args, "riesz.json"), riesz_rep, h, reduction)
-    write_report(_out(args, "invariance.json"), inv_rep, h, reduction)
-    write_csv(_out(args, "vmo_profile.csv"), h, ("epsilon", "S"), (prof.eps_list, prof.s_values))
-
-    log = {"schema": 1, "config": h}
-    if reduction is not None:
-        log["reduction"] = reduction
-    log["riesz"] = {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est}
-    log["invariance"] = {"max_residual": inv_rep.max_residual, "verdict": inv_rep.verdict}
-    log["vmo_profile"] = prof.as_dict()
-    is_riesz = riesz_rep.a_est > gabor.RIESZ_FLOOR
-    log["summary"] = {
-        "riesz_sequence": is_riesz,
-        "extra_invariance": inv_rep.verdict,
-        "zak_vmo_profile": prof.verdict,
-        "reading": (
-            "Riesz sequence with an additional invariance: the oscillation "
-            "profile must not decay (generator cannot be well-localized)"
-            if is_riesz and inv_rep.verdict == "invariant"
-            else "no obstruction triggered on this configuration"
-        ),
-    }
-    write_json(_out(args, "summary.json"), log)
     print(
         f"analyze: riesz A={riesz_rep.a_est:.4g}, invariance={inv_rep.verdict}, "
         f"profile={prof.verdict}"
     )
-    return EXIT_OK
+    is_riesz = riesz_rep.a_est > gabor.RIESZ_FLOOR
+    return EXIT_OK, {
+        "riesz.json": _with_reduction(riesz_rep.as_dict(), reduction),
+        "invariance.json": _with_reduction(inv_rep.as_dict(), reduction),
+        "vmo_profile.csv": (("epsilon", "S"), (prof.eps_list, prof.s_values)),
+        "summary.json": _with_reduction({
+            "schema": 1,
+            "riesz": {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est},
+            "invariance": {"max_residual": inv_rep.max_residual, "verdict": inv_rep.verdict},
+            "vmo_profile": prof.as_dict(),
+            "summary": {
+                "riesz_sequence": is_riesz,
+                "extra_invariance": inv_rep.verdict,
+                "zak_vmo_profile": prof.verdict,
+                "reading": (
+                    "Riesz sequence with an additional invariance: the oscillation "
+                    "profile must not decay (generator cannot be well-localized)"
+                    if is_riesz and inv_rep.verdict == "invariant"
+                    else "no obstruction triggered on this configuration"
+                ),
+            },
+        }, reduction),
+    }
 
 
-def cmd_metaplectic(cfg: dict, args) -> int:
-    g = build_generator(cfg)
-    alpha = parse_rational(cfg["alpha"])
-    m = config_int(cfg, "chirp_m")
-    rep = metaplectic.check_zak_formulas(g, alpha, m)
+def cmd_metaplectic(cfg: dict, args) -> tuple[int, dict]:
+    g, alpha = build_generator(cfg), parse_rational(cfg["alpha"])
+    rep = metaplectic.check_zak_formulas(g, alpha, config_int(cfg, "chirp_m"))
     S = config_matrix(cfg) or RationalMatrix2(0, 1, -1, 0)
     steps = sl2_factorize(S)
-    body = {
-        "schema": 1,
-        "config": config_hash(cfg),
-        "zak_formula_deviations": rep.as_dict(),
-        "factorization": {"matrix": S.to_csv(), "steps": [s.as_dict() for s in steps]},
-    }
-    write_json(_out(args, "metaplectic.json"), body)
     print(
         f"metaplectic: fourier={rep.dev_fourier:.2e} dilation={rep.dev_dilation:.2e} "
         f"chirp={rep.dev_chirp:.2e}"
     )
-    return EXIT_OK
+    return EXIT_OK, {"metaplectic.json": {
+        "schema": 1,
+        "zak_formula_deviations": rep.as_dict(),
+        "factorization": {"matrix": S.to_csv(), "steps": [s.as_dict() for s in steps]},
+    }}
 
 
-def cmd_uncertainty(cfg: dict, args) -> int:
+def cmd_uncertainty(cfg: dict, args) -> tuple[int, dict]:
     g = build_generator(cfg)
     q, p = (float(e) for e in cfg["exponents"])
     radii = list(cfg["radii"])
-    h = config_hash(cfg)
     t_sweep, f_sweep = uncertainty.uncertainty_product(g, p, q, 0.0, 0.0, radii)
     gag = uncertainty.gagliardo_seminorm(g, 0.5, radii)
     feich = uncertainty.feichtinger_norm_estimate(
         g, radii=tuple(r for r in radii if r <= g.samples_per_unit / 4) or (2, 4)
     )
-    for name, sw in (("moment_time", t_sweep), ("moment_freq", f_sweep),
-                     ("gagliardo", gag), ("feichtinger", feich)):
-        write_csv(_out(args, f"{name}.csv"), h, (sw.axis, "partial_value"), (sw.radii, sw.partials))
-    write_json(
-        _out(args, "uncertainty.json"),
-        {
+    print(
+        f"uncertainty: time={'conv' if t_sweep.converged else 'div'} "
+        f"freq={'conv' if f_sweep.converged else 'div'}"
+    )
+    return EXIT_OK, {
+        **{f"{name}.csv": ((sw.axis, "partial_value"), (sw.radii, sw.partials))
+           for name, sw in (("moment_time", t_sweep), ("moment_freq", f_sweep),
+                            ("gagliardo", gag), ("feichtinger", feich))},
+        "uncertainty.json": {
             "schema": 1,
-            "config": h,
             "time_moment": t_sweep.as_dict(),
             "freq_moment": f_sweep.as_dict(),
             "gagliardo_half": gag.as_dict(),
             "feichtinger": feich.as_dict(),
             "product_divergent": not (t_sweep.converged and f_sweep.converged),
         },
-    )
-    print(
-        f"uncertainty: time={'conv' if t_sweep.converged else 'div'} "
-        f"freq={'conv' if f_sweep.converged else 'div'}"
-    )
-    return EXIT_OK
+    }
 
 
-def cmd_demo(cfg: dict, args) -> int:
+def cmd_demo(cfg: dict, args) -> tuple[int, dict]:
     """End-to-end obstruction demo on the unit box at the integer lattice."""
     S = 32
     g = sample_function("box", (0, 1), S)
@@ -387,8 +359,7 @@ def cmd_demo(cfg: dict, args) -> int:
     u = Fraction(1, 2)
     rep = gabor.invariance_solve(riesz_rep, u, 0)
     print(f"shift (1/2, 0): residual = {rep.max_residual:.2e} -> {rep.verdict}")
-    mres = gabor.m_matrix(rep.f_field, lat, 0)
-    fr = gabor.fertig_residual(riesz_rep, u, 0, mres)
+    fr = gabor.fertig_residual(riesz_rep, u, 0, gabor.m_matrix(rep.f_field, lat, 0))
     print(f"transfer-matrix identity residual = {fr:.2e}")
     H = ScalarField2D(rep.f_field[0], "periodic")
     prod = gabor.product_relation_residual(H, u, 0, 2, 0, -1)
@@ -398,19 +369,14 @@ def cmd_demo(cfg: dict, args) -> int:
           f"(the failed certificate is the obstruction: (1/2, 0) is not a lattice point)")
     prof = vmo.vmo_decay_profile(riesz_rep.zak, (0.75, 1.25, 0.0, 1.0), [1 / 16, 1 / 64], floor=0.1)
     print(f"oscillation near the support jump: S = {prof.s_values} -> {prof.verdict}")
-    if args.out:
-        write_json(
-            _out(args, "demo.json"),
-            {
-                "schema": 1,
-                "riesz": {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est},
-                "residual": rep.max_residual,
-                "verdict": rep.verdict,
-                "divisibility": ok,
-                "vmo": prof.as_dict(),
-            },
-        )
-    return EXIT_OK
+    return EXIT_OK, {"demo.json": {
+        "schema": 1,
+        "riesz": {"a_est": riesz_rep.a_est, "b_est": riesz_rep.b_est},
+        "residual": rep.max_residual,
+        "verdict": rep.verdict,
+        "divisibility": ok,
+        "vmo": prof.as_dict(),
+    }}
 
 
 def _suite_vmo_inequalities(seed: int, cases: int) -> bool:
@@ -488,7 +454,7 @@ PROPTEST_SUITES = {
 }
 
 
-def cmd_proptest(cfg: dict, args) -> int:
+def cmd_proptest(cfg: dict, args) -> tuple[int, dict]:
     suite = PROPTEST_SUITES.get(args.suite)
     if suite is None:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {sorted(PROPTEST_SUITES)}")
@@ -497,7 +463,7 @@ def cmd_proptest(cfg: dict, args) -> int:
     print(f"suite {args.suite} (seed={args.seed}, cases={args.cases})")
     ok = suite(args.seed, args.cases)
     print("PASS" if ok else "FAIL")
-    return EXIT_OK if ok else EXIT_PROPERTY
+    return (EXIT_OK if ok else EXIT_PROPERTY), {}
 
 
 COMMANDS = {
@@ -531,9 +497,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand, then write the files it returns under --out, each
+    stamped with the config hash; a handler that fails writes nothing."""
     args = _parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](load_config(args.config), args)
+        cfg = load_config(args.config)
+        args.config_hash = config_hash(cfg)  # stamped on every file; zak prints it
+        code, files = COMMANDS[args.command](cfg, args)
+        for name, body in files.items():  # a JSON object, or a CSV (header, columns)
+            path = os.path.join(args.out, name)
+            if isinstance(body, dict):
+                write_json(path, {**body, "config": args.config_hash})
+            else:
+                write_csv(path, args.config_hash, *body)
     except (gabor.RieszFailureError, zak.AliasingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -541,6 +517,10 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:  # the handlers read no files: only a write raises it
+        print(f"config error: cannot write --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return code
 
 
 if __name__ == "__main__":

@@ -391,13 +391,13 @@ def _cases(name: str, n_cases: int, case) -> InequalityResult:
 class _TrigPoly2:
     """Small trigonometric polynomial evaluable anywhere (for pullbacks)."""
 
-    def __init__(self, rng, degree: int = 2, scale: float = 1.0, real: bool = False):
+    def __init__(self, rng, degree: int = 2, real: bool = False):
         self.degree = degree
         ks = np.arange(-degree, degree + 1)
         A, B = np.meshgrid(ks, ks, indexing="ij")
         self.a = A.ravel().astype(float)
         self.b = B.ravel().astype(float)
-        amp = scale / (1 + self.a**2 + self.b**2)
+        amp = 1 / (1 + self.a**2 + self.b**2)
         n = self.a.size
         self.c = amp * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         self.real = real

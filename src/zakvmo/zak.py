@@ -108,15 +108,14 @@ def check_zak_identities(f: SampledFunction, Z: ScalarField2D) -> ZakIdentityRep
     wg = np.arange(m) / m
 
     # (a): recompute the defining sum at (x + p, w + q) and compare with the
-    # extension phase; integer q drops out of the exponent exactly.
+    # field's own extension read at the global nodes (ix + p nx, iw + q nw).
     dev_a = 0.0
     seq = f.values.reshape(f.n_cells, s)[:, :: s // n].T
+    ix, iw = np.arange(n)[:, None], np.arange(m)[None, :]
     for p, q in ((1, 0), (0, 1), (1, 1), (2, 3)):
         kvec = np.arange(f.k_min - p, f.k_max - p)  # k' = k - p reindexes the sum
-        phases = np.exp(-2j * np.pi * np.outer(kvec, wg))
-        direct = seq @ phases
-        predicted = np.exp(2j * np.pi * p * wg)[None, :] * Z.values
-        dev_a = max(dev_a, float(np.max(np.abs(direct - predicted))))
+        direct = seq @ np.exp(-2j * np.pi * np.outer(kvec, wg + q))
+        dev_a = max(dev_a, float(np.max(np.abs(direct - Z.at(ix + p * n, iw + q * m)))))
 
     # (b): grid-exact fractional shift.
     u, eta = Fraction(1, 2), Fraction(1, 4)

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import lattice_gram
-from zakvmo import gabor, metaplectic, zak
+from zakvmo import cli, gabor, metaplectic, zak
 from zakvmo.cli import (
-    COMMANDS, DEFAULT_CONFIG, ConfigError, _parser, build_generator, build_system, config_int, main,
-    write_csv,
+    COMMANDS, DEFAULT_CONFIG, ConfigError, _parser, build_generator, build_system, config_hash,
+    config_int, load_config, main, write_csv,
 )
 
 # The lattice generators of the perfbench transport workload.
@@ -436,21 +436,37 @@ class TestExitCodes:
         assert "PASS" not in captured.out
 
     @pytest.mark.parametrize(
-        "overrides, code",
+        "command, overrides, code",
         [
-            ({"shift": ["1/3", "0"]}, 2),
-            ({"lattice": {"P": 2, "Q": 2}}, 2),
-            ({"matrix": ["2", "1", "0", "1"], "shift": ["1/3", "0"]}, 2),
-            ({"lattice": {"P": 1, "Q": 1}}, 3),
+            ("analyze", {"shift": ["1/3", "0"]}, 2),
+            ("analyze", {"lattice": {"P": 2, "Q": 2}}, 2),
+            ("analyze", {"matrix": ["2", "1", "0", "1"], "shift": ["1/3", "0"]}, 2),
+            ("analyze", {"lattice": {"P": 1, "Q": 1}}, 3),
+            ("riesz", {"nx": 30}, 2),
+            ("invariance", {"tol": 0}, 2),
+            ("vmo", {"window": [0.0, 1.00000001, 0.0, 1.0]}, 2),
+            ("metaplectic", {"alpha": "0"}, 2),
+            ("uncertainty", {"exponents": [-1, 2]}, 2),
         ],
-        ids=["shift-off-grid", "lattice-not-coprime", "shift-image-off-grid", "no-riesz-sequence"],
+        ids=["shift-off-grid", "lattice-not-coprime", "shift-image-off-grid", "no-riesz-sequence",
+             "riesz-nx-not-a-divisor", "invariance-zero-tol", "vmo-off-grid-window",
+             "metaplectic-zero-alpha", "uncertainty-negative-exponent"],
     )
-    def test_failed_analyze_writes_nothing(self, tmp_path, overrides, code):
-        # every stage runs before the first file is written
+    def test_failed_analyze_writes_nothing(self, tmp_path, command, overrides, code):
+        # a failed run of any subcommand leaves --out empty
         cfg = write_config(tmp_path, **overrides)
         out = tmp_path / "o"
-        assert main(["--config", cfg, "--out", str(out), "analyze"]) == code
+        assert main(["--config", cfg, "--out", str(out), command]) == code
         assert not out.exists() or not any(out.iterdir())
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        # --out names a regular file: exit 2 with a message, not a traceback
+        cfg = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--config", cfg, "--out", str(out), "riesz"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write --out {out}: ")
+        assert out.read_text() == ""
 
     def test_zak_unequal_grid_writes_nothing(self, tmp_path):
         # identity (d) needs nx == nw; the check runs before any file is written
@@ -470,23 +486,55 @@ class TestExitCodes:
 
 class TestReproducibility:
     @staticmethod
-    def assert_same_analyze_files(tmp_path, seed1, seed2):
+    def assert_same_files(tmp_path, command, seed1, seed2):
         cfg = write_config(tmp_path)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        assert main(["--config", cfg, "--out", str(out1), "--seed", seed1, "analyze"]) == 0
-        assert main(["--config", cfg, "--out", str(out2), "--seed", seed2, "analyze"]) == 0
+        assert main(["--config", cfg, "--out", str(out1), "--seed", seed1, command]) == 0
+        assert main(["--config", cfg, "--out", str(out2), "--seed", seed2, command]) == 0
         names = sorted(os.listdir(out1))
-        assert names == sorted(os.listdir(out2))
+        assert names and names == sorted(os.listdir(out2))
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_byte_identical_outputs(self, tmp_path):
-        self.assert_same_analyze_files(tmp_path, "7", "7")
+    @pytest.mark.parametrize(
+        "command",
+        ["zak", "riesz", "invariance", "vmo", "analyze", "metaplectic", "uncertainty", "demo"],
+    )
+    def test_byte_identical_outputs(self, tmp_path, command):
+        self.assert_same_files(tmp_path, command, "7", "7")
 
     def test_seed_does_not_reach_the_config(self, tmp_path):
         # --seed seeds the proptest suites only: analyze draws no random
         # numbers, so its files, config hash included, ignore the seed
-        self.assert_same_analyze_files(tmp_path, "1", "7")
+        self.assert_same_files(tmp_path, "analyze", "1", "7")
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_main_is_the_only_writer(tmp_path, monkeypatch, command):
+    # every handler returns its files; main writes them once it has
+    # returned, each stamped with the hash of the config
+    running, writes = [], []
+
+    def write(path, text, _real=cli.atomic_write):
+        writes.append((bool(running), text))
+        _real(path, text)
+
+    def handler(cfg, args, _real=COMMANDS[command]):
+        running.append(command)
+        try:
+            return _real(cfg, args)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(cli, "atomic_write", write)
+    monkeypatch.setitem(COMMANDS, command, handler)
+    cfg = write_config(tmp_path)
+    extra = ["sl2-factorize", "--cases", "5"] if command == "proptest" else []
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), command, *extra]) == 0
+    assert not any(inside for inside, _ in writes)
+    assert (len(writes) == 0) == (command == "proptest")
+    h = config_hash(load_config(cfg))
+    assert all(f"# config {h}\n" in text or f'"config": "{h}"' in text for _, text in writes)
 
 
 class TestProptestSuites:

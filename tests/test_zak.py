@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from zakvmo.core import GridError, node_index, sample_function
+from zakvmo.core import GridError, ScalarField2D, node_index, sample_function
 from zakvmo.zak import (
     AliasingError,
     check_zak_identities,
@@ -134,6 +134,13 @@ class TestIdentitiesAndUnitarity:
         assert rep.dev_shift < 1e-8
         assert rep.dev_integer_shift < 1e-8
         assert rep.dev_fourier < 1e-4
+
+    def test_quasiperiod_reads_the_field_extension(self, gauss64):
+        # identity (a) reads Z through ScalarField2D.at: the same values with
+        # a periodic extension miss the phase e^{2 pi i p w} off the square
+        Z = zak_transform(gauss64, 64, 64)
+        periodic = ScalarField2D(Z.values, "periodic", Z.omega_modes)
+        assert check_zak_identities(gauss64, periodic).dev_quasiperiod > 0.1
 
     def test_identities_need_square_grid(self, gauss64):
         with pytest.raises(GridError):
