@@ -159,15 +159,15 @@ def build_system(cfg: dict):
         return g, lat, (u, eta), None
     steps = []
     if red.B != RationalMatrix2.identity():
-        chain = metaplectic.MetaplecticChain.for_matrix(red.B)
-        need = metaplectic.minimal_sample_multiple(chain.steps)
+        chain = sl2_factorize(red.B)
+        need = metaplectic.minimal_sample_multiple(chain)
         if g.samples_per_unit % need:
             raise ConfigError(
                 f"S = {g.samples_per_unit} must be a multiple of {need} for this matrix"
             )
         g = metaplectic.apply_metaplectic(chain, g)
         u, eta = red.B.apply((u, eta))  # transport the shift with the lattice
-        steps = [s.as_dict() for s in chain.steps]
+        steps = [s.as_dict() for s in chain]
     log = {
         "B": red.B.to_csv(), "P": red.P, "Q": red.Q,
         "column_flipped": red.column_flipped,
@@ -225,7 +225,7 @@ def cmd_zak(cfg: dict, args) -> tuple[int, dict]:
     g = build_generator(cfg)
     Z = zak.zak_transform(g, config_int(cfg, "nx"), config_int(cfg, "nw"))
     rep = zak.check_zak_identities(g, Z)  # nx != nw exits 2
-    print(f"zak: wrote zak.csv and zak_identities.json (config {args.config_hash})")
+    print("zak: " + " ".join(f"{k}={v:.2e}" for k, v in rep.as_dict().items()))
     return EXIT_OK, {
         "zak.csv": (("x", "omega", "re", "im"),
                     (*_node_columns(Z.values.shape), Z.values.real, Z.values.imag)),
@@ -280,7 +280,6 @@ def cmd_analyze(cfg: dict, args) -> tuple[int, dict]:
         f"analyze: riesz A={riesz_rep.a_est:.4g}, invariance={inv_rep.verdict}, "
         f"profile={prof.verdict}"
     )
-    is_riesz = riesz_rep.a_est > gabor.RIESZ_FLOOR
     return EXIT_OK, {
         "riesz.json": _with_reduction(riesz_rep.as_dict(), reduction),
         "invariance.json": _with_reduction(inv_rep.as_dict(), reduction),
@@ -291,13 +290,13 @@ def cmd_analyze(cfg: dict, args) -> tuple[int, dict]:
             "invariance": {"max_residual": inv_rep.max_residual, "verdict": inv_rep.verdict},
             "vmo_profile": prof.as_dict(),
             "summary": {
-                "riesz_sequence": is_riesz,
+                "riesz_sequence": True,  # invariance_solve refused a_est <= RIESZ_FLOOR
                 "extra_invariance": inv_rep.verdict,
                 "zak_vmo_profile": prof.verdict,
                 "reading": (
                     "Riesz sequence with an additional invariance: the oscillation "
                     "profile must not decay (generator cannot be well-localized)"
-                    if is_riesz and inv_rep.verdict == "invariant"
+                    if inv_rep.verdict == "invariant"
                     else "no obstruction triggered on this configuration"
                 ),
             },
@@ -388,12 +387,12 @@ def _suite_vmo_inequalities(seed: int, cases: int) -> bool:
     rep2 = vmo.check_inequalities(F2, G, (0, 1, 0, 1), eps=0.01, n_cases=cases, rng=rng)
     for title, report in (("F, G", rep), ("F2 = 2 + small field, G", rep2)):
         print(f"  report on {title}:")
-        for name, r in report.results.items():
+        for name, r in report.items():
             status = "skipped" if not r.precondition_ok else "ok" if r.passed() else "FAIL"
             print(f"  {name:22s} max_ratio={r.max_ratio:.4f} cases={r.cases} [{status}]")
             if r.note:
                 print(f"    note: {r.note}")
-    return rep.passed() and rep2.passed()
+    return all(r.passed() for report in (rep, rep2) for r in report.values())
 
 
 def _suite_sl2(seed: int, cases: int) -> bool:
@@ -440,8 +439,7 @@ def _suite_metaplectic(seed: int, cases: int) -> bool:
     for _ in range(cases):
         S = gens[rng.integers(len(gens))]
         lam = (Fraction(int(rng.integers(-8, 9)), 2), Fraction(int(rng.integers(-8, 9)), 2))
-        chain = metaplectic.MetaplecticChain.for_matrix(S)
-        worst = max(worst, metaplectic.covariance_residual(chain, lam, g))
+        worst = max(worst, metaplectic.covariance_residual(S, lam, g))
     print(f"  worst covariance residual {worst:.3e}")
     return worst < 1e-5
 
@@ -502,14 +500,14 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        args.config_hash = config_hash(cfg)  # stamped on every file; zak prints it
+        h = config_hash(cfg)  # stamped on every file
         code, files = COMMANDS[args.command](cfg, args)
         for name, body in files.items():  # a JSON object, or a CSV (header, columns)
             path = os.path.join(args.out, name)
             if isinstance(body, dict):
-                write_json(path, {**body, "config": args.config_hash})
+                write_json(path, {**body, "config": h})
             else:
-                write_csv(path, args.config_hash, *body)
+                write_csv(path, h, *body)
     except (gabor.RieszFailureError, zak.AliasingError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

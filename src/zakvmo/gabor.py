@@ -33,7 +33,8 @@ from .symplectic import as_fraction
 from .zak import zak_transform
 
 # The lower Riesz bound below which the system counts as no Riesz sequence:
-# the invariance solve refuses to run there, and ``analyze`` reports it.
+# the invariance solve refuses to run there, so ``invariance`` and ``analyze``
+# exit 3; ``riesz`` still reports the bounds.
 RIESZ_FLOOR = 1e-12
 
 # Recovered coefficients at most this fraction of the largest are dropped.
@@ -240,24 +241,16 @@ def gram_riesz_oracle(g: SampledFunction, lat: SeparableLattice, trunc: int) -> 
     return float(max(eig[0], 0.0)), float(eig[-1])
 
 
-@dataclass(eq=False)
-class CoefficientRecovery:
-    """Expansion coefficients read off as 2-D Fourier coefficients."""
-
-    coeffs: dict
-    parseval_tail: float
-
-
-def coefficient_recovery(F) -> CoefficientRecovery:
+def coefficient_recovery(F) -> tuple[dict, float]:
     """Read c_{sQ+l, n} from the vector field F on its period rectangle.
 
     ``F`` is the (Q, J, nw) array of components
     F_l(x, w) = sum_{s,n} c_{sQ+l, n} e^{2 pi i (n P x - s w)} at the nodes
     x = i / (J P) < 1/P, w = j / nw.  One 2-D FFT gives every coefficient,
     with n in [-J/2, J/2) and s in [-nw/2, nw/2); those at most _COEFF_DROP
-    times the largest over all components are dropped.  The result is a
-    sparse map (m, n) -> complex with m = s*Q + l, together with the
-    Parseval tail sum |c|^2 of the dropped ones.
+    times the largest over all components are dropped.  Returns the
+    sparse map (m, n) -> complex with m = s*Q + l, and the Parseval tail
+    sum |c|^2 of the dropped ones.
     """
     Q, J, nw = np.shape(F)
     c = np.fft.fft2(F, axes=(1, 2)) / (J * nw)  # bin (n, -s) mod (J, nw)
@@ -270,7 +263,7 @@ def coefficient_recovery(F) -> CoefficientRecovery:
         (int(si) * Q + int(li), int(ni)): complex(v)
         for li, ni, si, v in zip(ell, n, s, c[keep])
     }
-    return CoefficientRecovery(coeffs, float(np.sum(mag[~keep] ** 2)))
+    return coeffs, float(np.sum(mag[~keep] ** 2))
 
 
 def resynthesize(
@@ -374,8 +367,7 @@ def invariance_solve(riesz: RieszReport, u, eta, tol: float = 1e-6) -> Invarianc
 
     coeffs, tail = {}, 0.0
     if verdict == "invariant":
-        rec = coefficient_recovery(Fp)
-        coeffs, tail = rec.coeffs, rec.parseval_tail
+        coeffs, tail = coefficient_recovery(Fp)
 
     return InvarianceReport(
         max_residual=max_residual,

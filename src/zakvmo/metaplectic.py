@@ -37,7 +37,7 @@ from .core import (
     place,
     tf_shift,
 )
-from .symplectic import GeneratorStep, RationalMatrix2, as_fraction, sl2_factorize, steps_matrix
+from .symplectic import GeneratorStep, RationalMatrix2, as_fraction, sl2_factorize
 from .zak import fourier_identity_dev, zak_transform
 
 
@@ -91,22 +91,6 @@ def apply_generator(step: GeneratorStep, f: SampledFunction) -> SampledFunction:
     return apply_chirp(f, step.param / 2)
 
 
-@dataclass(frozen=True)
-class MetaplecticChain:
-    """Generator steps in application order realizing a source matrix."""
-
-    steps: tuple
-    source: RationalMatrix2
-
-    def __post_init__(self):
-        if steps_matrix(self.steps) != self.source:
-            raise ValueError("step product does not reproduce the source matrix")
-
-    @staticmethod
-    def for_matrix(S: RationalMatrix2) -> "MetaplecticChain":
-        return MetaplecticChain(tuple(sl2_factorize(S)), S)
-
-
 def minimal_sample_multiple(steps) -> int:
     """Smallest L such that every dilation in the chain stays grid-exact
     whenever the input sample rate is a multiple of L."""
@@ -120,24 +104,27 @@ def minimal_sample_multiple(steps) -> int:
     return L
 
 
-def apply_metaplectic(chain: MetaplecticChain, f: SampledFunction) -> SampledFunction:
-    """Apply the steps of a chain sequentially."""
+def apply_metaplectic(steps, f: SampledFunction) -> SampledFunction:
+    """Apply generator steps in application order, as ``sl2_factorize``
+    returns them."""
     out = f
-    for st in chain.steps:
+    for st in steps:
         out = apply_generator(st, out)
     return out
 
 
-def covariance_residual(chain: MetaplecticChain, lam, f: SampledFunction) -> float:
-    """1 - |<U pi(lam) f, pi(S lam) U f>| / ||f||^2 (phase-blind).
+def covariance_residual(S: RationalMatrix2, lam, f: SampledFunction) -> float:
+    """1 - |<U pi(lam) f, pi(S lam) U f>| / ||f||^2 (phase-blind), with U the
+    metaplectic operator of the steps ``sl2_factorize(S)``.
 
     Zero up to quadrature error exactly when the covariance relation holds
     modulo the permitted unimodular constant.
     """
     u, eta = as_fraction(lam[0]), as_fraction(lam[1])
-    u2, e2 = chain.source.apply((u, eta))
-    left = apply_metaplectic(chain, tf_shift(f, (float(u), float(eta))))
-    right = tf_shift(apply_metaplectic(chain, f), (float(u2), float(e2)))
+    steps = sl2_factorize(S)
+    u2, e2 = S.apply((u, eta))
+    left = apply_metaplectic(steps, tf_shift(f, (float(u), float(eta))))
+    right = tf_shift(apply_metaplectic(steps, f), (float(u2), float(e2)))
     return 1.0 - abs(inner_product(left, right)) / f.norm() ** 2
 
 

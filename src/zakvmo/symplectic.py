@@ -155,7 +155,8 @@ def lattice_reduce(A: RationalMatrix2) -> LatticeReduction:
         det = -det
     P, Q = det.numerator, det.denominator
     B = RationalMatrix2(Fraction(1, Q), 0, 0, Fraction(P)) @ A.inverse()
-    assert B.det() == 1
+    if B.det() != 1:
+        raise ValueError(f"reduction matrix has determinant {B.det()}, not 1")
     return LatticeReduction(B, P, Q, flipped)
 
 
@@ -163,7 +164,8 @@ def sl2_factorize(S: RationalMatrix2) -> list[GeneratorStep]:
     """Factor a determinant-1 rational matrix into generator steps.
 
     Returns steps in application order (rightmost factor of the displayed
-    matrix product first); ``steps_matrix`` reproduces S exactly.
+    matrix product first); ``steps_matrix`` reproduces S exactly, which is
+    checked here, so callers pass the steps on unchecked.
     """
     if S.det() != 1:
         raise ValueError(f"determinant must be exactly 1, got {S.det()}")
@@ -183,7 +185,8 @@ def sl2_factorize(S: RationalMatrix2) -> list[GeneratorStep]:
             GeneratorStep("dilation", 1 / b),
         ]
     steps = written[::-1]
-    assert steps_matrix(steps) == S
+    if steps_matrix(steps) != S:
+        raise ValueError("step product does not reproduce the source matrix")
     return steps
 
 

@@ -31,18 +31,6 @@ _GAGLIARDO_BANDS = (16, 8, 4, 2, 1)
 _FEICHTINGER_GRID = (0.25, 0.125)
 
 
-@dataclass(frozen=True)
-class MomentSpec:
-    """Weight |x - center|^exponent for a second-kind moment integral."""
-
-    exponent: float
-    center: float = 0.0
-
-    def __post_init__(self):
-        if not (self.exponent >= 0 and math.isfinite(self.exponent)):
-            raise ValueError("exponent must be finite and >= 0")
-
-
 @dataclass
 class DivergenceSweep:
     """Partial values of a truncated integral over an expanding family."""
@@ -111,17 +99,18 @@ def _sweep(radii, partials, rel_tol: float, axis: str) -> DivergenceSweep:
     return DivergenceSweep(radii, partials, False, None, shape, rate, axis)
 
 
-def weighted_moment(g: SampledFunction, spec, radii) -> DivergenceSweep:
-    """Partial integrals of |x - center|^q |g(x)|^2 over |x - center| <= R.
+def weighted_moment(g: SampledFunction, q: float, center: float, radii) -> DivergenceSweep:
+    """Partial integrals of |x - center|^q |g(x)|^2 over |x - center| <= R,
+    for a finite q >= 0.
 
     For compactly supported samples the sweep saturates once R covers the
     support; the translation covariance (g, center) -> (shifted g,
     shifted center) is exact on the grid.
     """
-    if not isinstance(spec, MomentSpec):
-        spec = MomentSpec(*spec)
-    x = g.grid() - spec.center
-    weight = np.abs(x) ** spec.exponent * np.abs(g.values) ** 2
+    if not (q >= 0 and math.isfinite(q)):
+        raise ValueError("exponent must be finite and >= 0")
+    x = g.grid() - center
+    weight = np.abs(x) ** q * np.abs(g.values) ** 2
     partials = [float(np.sum(weight[np.abs(x) <= r]) / g.samples_per_unit) for r in radii]
     return _sweep(radii, partials, _MOMENT_REL_TOL, "radius")
 
@@ -146,7 +135,7 @@ def uncertainty_product(
         raise ValueError(f"exponents are not Holder-dual: 1/{p} + 1/{q} != 1")
     rmax = int(math.ceil(max(radii))) + 1
     ghat = fourier_transform(g, out_S=_FREQ_OUT_S, out_support=(-rmax, rmax))
-    return weighted_moment(g, MomentSpec(q, alpha), radii), weighted_moment(ghat, MomentSpec(p, beta), radii)
+    return weighted_moment(g, q, alpha, radii), weighted_moment(ghat, p, beta, radii)
 
 
 def gagliardo_seminorm(g: SampledFunction, s: float, radii) -> DivergenceSweep:

@@ -345,14 +345,6 @@ class InequalityResult:
         return (not self.precondition_ok) or self.max_ratio <= 1.0 + RATIO_TOL
 
 
-@dataclass
-class InequalityReport:
-    results: dict
-
-    def passed(self) -> bool:
-        return all(r.passed() for r in self.results.values())
-
-
 def prods_constant(sup_norms) -> float:
     """Rigorous constant C(||F_1||oo, ..., ||F_n||oo) for the product-mean
     inequality |(prod F_i)_Q - prod (F_i)_Q| <= C sum_i S_{eps,U}(F_i),
@@ -477,8 +469,9 @@ def _c1_multiplier_case(rng):
 
 def check_inequalities(
     F: ScalarField2D, G: ScalarField2D, U, eps: float, n_cases: int = 1000, rng=None
-) -> InequalityReport:
-    """Evaluate every quantitative oscillation inequality on random cubes.
+) -> dict:
+    """Evaluate every quantitative oscillation inequality on random cubes,
+    as a ``{name: InequalityResult}`` dict.
 
     The two sampled fields drive the product/inverse/nesting bounds; the
     affine-pullback and C^1-multiplier bounds need off-grid evaluation and
@@ -594,4 +587,4 @@ def check_inequalities(
     results.append(_cases("multi_product_mean", n_cases, multi_product_mean))
     results.append(_cases("affine_pullback", n_cases, lambda: _affine_pullback_case(rng)))
     results.append(_cases("c1_multiplier", n_cases, lambda: _c1_multiplier_case(rng)))
-    return InequalityReport({r.name: r for r in results})
+    return {r.name: r for r in results}

@@ -460,12 +460,16 @@ class TestExitCodes:
         assert not out.exists() or not any(out.iterdir())
 
     def test_unwritable_out(self, tmp_path, capsys):
-        # --out names a regular file: exit 2 with a message, not a traceback
+        # --out names a regular file: exit 2 with a message, not a traceback,
+        # and the printed line claims no write main has yet to make
         cfg = write_config(tmp_path)
         out = tmp_path / "taken"
         out.write_text("")
-        assert main(["--config", cfg, "--out", str(out), "riesz"]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: cannot write --out {out}: ")
+        for command in ("riesz", "zak"):
+            assert main(["--config", cfg, "--out", str(out), command]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"config error: cannot write --out {out}: ")
+            assert "wrote" not in captured.out
         assert out.read_text() == ""
 
     def test_zak_unequal_grid_writes_nothing(self, tmp_path):

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import l2_distance
+from zakvmo import symplectic
 from zakvmo.core import GridError, fourier_transform, inner_product, sample_function
 from zakvmo.metaplectic import (
-    MetaplecticChain,
     apply_chirp,
     apply_dilation,
     apply_generator,
@@ -17,7 +17,7 @@ from zakvmo.metaplectic import (
     covariance_residual,
     minimal_sample_multiple,
 )
-from zakvmo.symplectic import GeneratorStep, RationalMatrix2
+from zakvmo.symplectic import GeneratorStep, RationalMatrix2, sl2_factorize
 
 
 class TestGenerators:
@@ -57,12 +57,12 @@ class TestGenerators:
 
 class TestChains:
     def test_identity_chain_is_scalar(self, gauss64):
-        chain = MetaplecticChain.for_matrix(RationalMatrix2.identity())
+        chain = sl2_factorize(RationalMatrix2.identity())
         out = apply_metaplectic(chain, gauss64)
         assert abs(abs(inner_product(out, gauss64)) - gauss64.norm() ** 2) < 1e-5
 
     def test_j_chain_matches_fourier(self, box64):
-        chain = MetaplecticChain.for_matrix(RationalMatrix2(0, 1, -1, 0))
+        chain = sl2_factorize(RationalMatrix2(0, 1, -1, 0))
         out = apply_metaplectic(chain, box64)
         ref = fourier_transform(box64, out_support=(out.k_min, out.k_max))
         assert l2_distance(out, ref) < 1e-6
@@ -71,7 +71,7 @@ class TestChains:
         # U_{diag(2,1/2)} = D_{1/2} (fixed by the covariance relation):
         # the Gaussian maps to exp(-x^2/4)/sqrt(2) up to a unimodular phase
         S = RationalMatrix2(2, 0, 0, Fraction(1, 2))
-        out = apply_metaplectic(MetaplecticChain.for_matrix(S), gauss64)
+        out = apply_metaplectic(sl2_factorize(S), gauss64)
         s = out.samples_per_unit
         x = np.arange(out.k_min * s, out.k_max * s) / s
         target = np.exp(-(x**2) / 4) / math.sqrt(2)
@@ -80,16 +80,17 @@ class TestChains:
         )
         assert 1.0 - align < 1e-8
 
-    def test_chain_validates_product(self):
-        with pytest.raises(ValueError):
-            MetaplecticChain(
-                (GeneratorStep("J"),), RationalMatrix2.identity()
-            )
+    def test_factorization_checks_step_product(self, monkeypatch):
+        # sl2_factorize is the only check that the steps reproduce S, and
+        # it must hold under python -O, so it is a raise, not an assert
+        monkeypatch.setattr(symplectic, "steps_matrix", lambda steps: RationalMatrix2(0, 1, -1, 0))
+        with pytest.raises(ValueError, match="step product does not reproduce"):
+            sl2_factorize(RationalMatrix2.identity())
 
     def test_minimal_sample_multiple(self):
         S = RationalMatrix2(Fraction(3, 2), 0, 0, Fraction(2, 3))
-        chain = MetaplecticChain.for_matrix(S)
-        L = minimal_sample_multiple(chain.steps)
+        chain = sl2_factorize(S)
+        L = minimal_sample_multiple(chain)
         g = sample_function("gaussian", (-8, 8), 32 * L)
         out = apply_metaplectic(chain, g)  # must not raise
         assert out.norm() == pytest.approx(g.norm(), abs=1e-5)
@@ -99,16 +100,13 @@ class TestChains:
 
 class TestCovariance:
     def test_identity_matrix(self, gauss64):
-        chain = MetaplecticChain.for_matrix(RationalMatrix2.identity())
-        assert covariance_residual(chain, (1, 0), gauss64) < 1e-12
+        assert covariance_residual(RationalMatrix2.identity(), (1, 0), gauss64) < 1e-12
 
     def test_fourier_exchanges_shift_and_modulation(self, gauss64):
-        chain = MetaplecticChain.for_matrix(RationalMatrix2(0, 1, -1, 0))
-        assert covariance_residual(chain, (1, 0), gauss64) < 1e-5
+        assert covariance_residual(RationalMatrix2(0, 1, -1, 0), (1, 0), gauss64) < 1e-5
 
     def test_chirp_generator(self, gauss64):
-        chain = MetaplecticChain.for_matrix(RationalMatrix2(1, 0, 1, 1))
-        assert covariance_residual(chain, (1, 0), gauss64) < 1e-8
+        assert covariance_residual(RationalMatrix2(1, 0, 1, 1), (1, 0), gauss64) < 1e-8
 
     def test_generator_suite_randomized(self, gauss64, rng):
         gens = [
@@ -118,21 +116,19 @@ class TestCovariance:
         ]
         single = []
         for S in gens:
-            chain = MetaplecticChain.for_matrix(S)
             worst = 0.0
             for _ in range(12):
                 lam = (
                     Fraction(int(rng.integers(-8, 9)), 2),
                     Fraction(int(rng.integers(-8, 9)), 2),
                 )
-                worst = max(worst, covariance_residual(chain, lam, gauss64))
+                worst = max(worst, covariance_residual(S, lam, gauss64))
             single.append(worst)
             assert worst < 1e-5
         # composed chain residual stays within a slack factor of the sum
         comp = gens[0] @ gens[1] @ gens[2]
-        chain = MetaplecticChain.for_matrix(comp)
-        r = covariance_residual(chain, (Fraction(1, 2), Fraction(1, 2)), gauss64)
-        assert r < 2 * (sum(single) + 1e-5) * len(chain.steps)
+        r = covariance_residual(comp, (Fraction(1, 2), Fraction(1, 2)), gauss64)
+        assert r < 2 * (sum(single) + 1e-5) * len(sl2_factorize(comp))
 
 
 class TestZakFormulas:

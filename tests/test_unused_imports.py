@@ -6,8 +6,8 @@ public method or property of a ``zakvmo`` class, is read somewhere in
 
 No linter is a dependency, so this parses each source file with ``ast``
 and compares the names its imports and definitions bind with the names it
-reads.  The package ``__init__.py`` is skipped: its imports are the
-re-exported API, so they neither need a use nor count as a read.
+reads.  No ``zakvmo`` module holds an ``assert`` statement either, since
+``python -O`` strips them: a check that must hold raises.
 """
 
 import ast
@@ -18,7 +18,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "zakvmo"
 BENCH = TESTS.parent / "perfbench"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 FILES = MODULES + sorted(TESTS.glob("*.py")) + sorted(BENCH.glob("*.py"))
 
 
@@ -102,6 +102,10 @@ def unread_public_methods(source: str, other_sources) -> list[str]:
     ]
 
 
+def assert_statements(source: str) -> list[str]:
+    return [f"line {n.lineno}" for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert)]
+
+
 def test_checker_flags_unused_and_keeps_used():
     src = "import io\nimport os\nfrom a import b as c, d\n\ndef f(x: d):\n    return os.sep\n"
     assert unused_imports(src) == ["line 1: io", "line 3: c"]
@@ -161,3 +165,13 @@ def test_method_checker_flags_unread_members():
 def test_no_unread_public_methods(path):
     others = [p.read_text() for p in FILES if p != path]
     assert unread_public_methods(path.read_text(), others) == []
+
+
+def test_assert_checker_flags_asserts():
+    src = "def f(x):\n    assert x > 0\n    if x:\n        assert x, 'msg'\n    return x\n"
+    assert assert_statements(src) == ["line 2", "line 4"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_statements(path.read_text()) == []
