@@ -22,9 +22,11 @@ window, with its witness cube) and the inequality checker (random
 subwindows).  It is an exact branch and bound: ``_kernels.osc_scan``
 evaluates M_Q only where the Cauchy-Schwarz bound M_Q <= sqrt(mean_Q|F|^2 -
 |F_Q|^2), from prefix sums, plus a stated rounding margin reaches the best
-so far, so S and its witness keep the bits of the exhaustive scan.  A cube
-whose bound is below the floor 1e-12 sup|F| is never evaluated, which can
-move only an S made of rounding.
+so far, so S and its witness keep the bits of the exhaustive scan.  The
+first side scanned evaluates its top-bound anchor before it sorts, so only
+the anchors whose bound reaches that value are sorted.  A cube whose bound is
+below the floor 1e-12 sup|F| is never evaluated, which can move only an S
+made of rounding.
 """
 
 from __future__ import annotations
@@ -179,16 +181,31 @@ def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.
     :func:`_osc_bounds` data osc; where = (side, sx, sy, a, b) is the first
     cube that attains it, in side order and then C order, anchored at node
     (a, b) of the scanned window.  (0.0, None) when no cube fits."""
-    W, floor, bounds, pre = osc  # sides descend; anchors by descending bound
+    W, floor, bounds, pre = osc
     fits = [k for k, (side, sx, sy) in enumerate(sides) if side * side < cap and sx <= wi and sy <= wj]
     if not fits:
         return 0.0, None
     best, where = 0.0, None
+
+    def scan(k, sub, take):
+        nonlocal best, where
+        vals = _kernels.osc_scan(W, pre, take // sub.shape[1] + i, take % sub.shape[1] + j, *sides[k][1:])
+        top = vals.max()
+        first = (k, *divmod(int(take[vals == top].min()), sub.shape[1]))
+        if top > best or (top == best > 0 and first < where):
+            best, where = top, first
+
+    # sides descend; anchors by descending bound, the first side's sorted after
+    # its top-bound anchor seeds best.  An anchor that can reach the final best
+    # passes every filter, so the order cannot move S or the witness.
     for k in reversed(fits):
         _, sx, sy = sides[k]
         C, mu_err, grow = bounds[sx, sy]
         sub = C[i : i + wi - sx + 1, j : j + wj - sy + 1]
         cand = np.flatnonzero(sub >= max(floor, best / grow - mu_err))
+        if k == fits[-1] and cand.size > 8:
+            scan(k, sub, cand[[sub.flat[cand].argmax()]])
+            cand = cand[sub.flat[cand] >= max(floor, best / grow - mu_err)]
         cand = cand[np.argsort(-sub.flat[cand], kind="stable")]
         pos, size = 0, 8
         while pos < cand.size:
@@ -196,11 +213,7 @@ def _window_sup(osc, sides, i: int, j: int, wi: int, wj: int, cap: float = math.
             take = take[sub.flat[take] >= max(floor, best / grow - mu_err)]
             if not take.size:
                 break
-            vals = _kernels.osc_scan(W, pre, take // sub.shape[1] + i, take % sub.shape[1] + j, sx, sy)
-            top = vals.max()
-            first = (k, *divmod(int(take[vals == top].min()), sub.shape[1]))
-            if top > best or (top == best > 0 and first < where):
-                best, where = top, first
+            scan(k, sub, take)
             pos, size = pos + size, max(1, 8192 // (sx * sy))  # gathers of <= 2^13 cells
     k, a, b = where if best > 0 else (fits[0], 0, 0)
     side, sx, sy = sides[k]
@@ -381,7 +394,11 @@ def _cases(name: str, n_cases: int, case) -> InequalityResult:
 
 
 class _TrigPoly2:
-    """Small trigonometric polynomial evaluable anywhere (for pullbacks)."""
+    """Small trigonometric polynomial sum c_ab z_x^a z_w^b, |a|, |b| <= d, of
+    z_x = e^{2 pi i x}, z_w = e^{2 pi i w}, evaluable anywhere (for pullbacks).
+    Factored: the powers z^-d..z^d are built on x and on w before they
+    broadcast (one exp per entry), the x-powers are contracted with the
+    (2d+1)-by-(2d+1) coefficients, then summed against the w-powers."""
 
     def __init__(self, rng, degree: int = 2, real: bool = False):
         self.degree = degree
@@ -394,25 +411,18 @@ class _TrigPoly2:
         self.c = amp * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
         self.real = real
 
-    def _phases(self, x, w):
-        shape = np.broadcast(np.asarray(x, float), np.asarray(w, float)).shape
-        xs = np.broadcast_to(np.asarray(x, float), shape).ravel()
-        ws = np.broadcast_to(np.asarray(w, float), shape).ravel()
-        # e^{2 pi i (a x + b w)} = z_x^a z_w^b: powers k = 0..d, z^-k = conj(z^k)
-        zx, zw = (np.exp(2j * np.pi * t)[:, None] ** np.arange(self.degree + 1) for t in (xs, ws))
-        zx, zw = (np.concatenate([z[:, :0:-1].conj(), z], axis=1) for z in (zx, zw))
-        return (zx[:, :, None] * zw[:, None, :]).reshape(len(xs), -1), shape
+    def _sums(self, x, w, *coefs):
+        # z^k for k = 0..d, then z^-k = conj(z^k); one sum per flat coefs
+        zx, zw = (np.exp(2j * np.pi * np.asarray(t, float))[..., None] ** np.arange(self.degree + 1) for t in (x, w))
+        zx, zw = (np.concatenate([z[..., :0:-1].conj(), z], axis=-1) for z in (zx, zw))
+        out = (np.einsum("...b,...b->...", zx @ c.reshape(zw.shape[-1], -1), zw) for c in coefs)
+        return tuple(v.real if self.real else v for v in out)
 
     def __call__(self, x, w):
-        ph, shape = self._phases(x, w)
-        out = (ph @ self.c).reshape(shape)
-        return out.real if self.real else out
+        return self._sums(x, w, self.c)[0]
 
     def gradient(self, x, w):
-        ph, shape = self._phases(x, w)
-        gx = (ph @ (2j * np.pi * self.a * self.c)).reshape(shape)
-        gw = (ph @ (2j * np.pi * self.b * self.c)).reshape(shape)
-        return (gx.real, gw.real) if self.real else (gx, gw)
+        return self._sums(x, w, 2j * np.pi * self.a * self.c, 2j * np.pi * self.b * self.c)
 
 
 def _cube_nodes(cube: Cube, n: int):
@@ -422,9 +432,8 @@ def _cube_nodes(cube: Cube, n: int):
     return (cube.cx - cube.side / 2 + t)[:, None], (cube.cw - cube.side / 2 + t)[None, :]
 
 
-def _sample_cube_stats(fn, cube: Cube, n: int = 32):
-    """Midpoint-sampled oscillation and rms of a callable on a cube."""
-    vals = fn(*_cube_nodes(cube, n))
+def _cube_stats(vals):
+    """Oscillation and rms of samples, such as a function at _cube_nodes."""
     mu = vals.mean()
     return float(np.mean(np.abs(vals - mu))), float(np.sqrt(np.mean(np.abs(vals) ** 2)))
 
@@ -440,14 +449,11 @@ def _affine_pullback_case(rng):
     b = rng.uniform(-1, 1, size=2)
     op = float(np.linalg.svd(A.astype(float), compute_uv=False)[0])
     cube = Cube(rng.uniform(0, 1), rng.uniform(0, 1), rng.choice([0.125, 0.25, 0.5]))
-
-    def pulled(x, w):
-        return F(A[0, 0] * x + A[0, 1] * w + b[0], A[1, 0] * x + A[1, 1] * w + b[1])
-
-    lhs, _ = _sample_cube_stats(pulled, cube)
+    xs, ws = _cube_nodes(cube, 32)
+    lhs, _ = _cube_stats(F(A[0, 0] * xs + A[0, 1] * ws + b[0], A[1, 0] * xs + A[1, 1] * ws + b[1]))
     cx2 = A[0, 0] * cube.cx + A[0, 1] * cube.cw + b[0]
     cw2 = A[1, 0] * cube.cx + A[1, 1] * cube.cw + b[1]
-    m2, _ = _sample_cube_stats(F, Cube(cx2, cw2, math.sqrt(2) * op * cube.side), n=48)
+    m2, _ = _cube_stats(F(*_cube_nodes(Cube(cx2, cw2, math.sqrt(2) * op * cube.side), 48)))
     return lhs, 2 * 2 * op**2 / abs(float(np.linalg.det(A))) * m2
 
 
@@ -457,10 +463,11 @@ def _c1_multiplier_case(rng):
     F = _TrigPoly2(rng, degree=2)
     phi = _TrigPoly2(rng, degree=1, real=True)
     cube = Cube(rng.uniform(0, 1), rng.uniform(0, 1), rng.choice([0.125, 0.25, 0.5]))
-    lhs, _ = _sample_cube_stats(lambda x, w: phi(x, w) * F(x, w), cube)
-    mf, rms = _sample_cube_stats(F, cube)
     xs, ws = _cube_nodes(cube, 32)
-    sup_phi = float(np.max(np.abs(phi(xs, ws))))
+    vf, vphi = F(xs, ws), phi(xs, ws)
+    lhs, _ = _cube_stats(vphi * vf)
+    mf, rms = _cube_stats(vf)
+    sup_phi = float(np.max(np.abs(vphi)))
     gx, gw = phi.gradient(xs, ws)
     sup_grad = float(np.max(np.abs(gx) + np.abs(gw)))
     l2 = rms * cube.side  # ||F||_{L2(Q)} = sqrt(|Q| * mean |F|^2)
@@ -497,11 +504,11 @@ def check_inequalities(
         _, sx, sy = sides[rng.integers(len(sides))]
         return int(rng.integers(0, ni - sx + 1)), int(rng.integers(0, nj - sy + 1)), sx, sy
 
-    def window(lo_i, lo_j, hi):
-        """(i, j, wi, wj) of a random subwindow, lo_i <= wi <= min(hi, ni)
-        and lo_j <= wj <= min(hi, nj)."""
-        wi = int(rng.integers(lo_i, min(hi, ni) + 1))
-        wj = int(rng.integers(lo_j, min(hi, nj) + 1))
+    def window(lo, hi):
+        """(i, j, wi, wj) of a random subwindow, min(lo, ni) <= wi <= min(hi,
+        ni) and min(lo, nj) <= wj <= min(hi, nj)."""
+        wi = int(rng.integers(min(lo, ni), min(hi, ni) + 1))
+        wj = int(rng.integers(min(lo, nj), min(hi, nj) + 1))
         return int(rng.integers(0, ni - wi + 1)), int(rng.integers(0, nj - wj + 1)), wi, wj
 
     # |F_Q G_Q - (FG)_Q| <= 1/2 max(||F||,||G||) (M_Q(F) + M_Q(G))
@@ -516,9 +523,10 @@ def check_inequalities(
 
     # S_{eps,U}(FG) <= 3/2 max(||F||,||G||) (S(F) + S(G)) on random subwindows
     scans = {key: _osc_bounds(W, sides) for key, W in (("F", WF), ("G", WG), ("P", WP))}
+    s_full_f = _window_sup(scans["F"], sides, 0, 0, ni, nj)[0]
 
     def product_osc_sup():
-        i, j, wi, wj = window(16, 16, 48)
+        i, j, wi, wj = window(16, 48)
         cap = eps * float(rng.uniform(0.3, 1.0))
         sF, sG, sP = (_window_sup(scans[k], sides, i, j, wi, wj, cap)[0] for k in "FGP")
         return sP, 1.5 * max(sup_f, sup_g) * (sF + sG)
@@ -536,7 +544,8 @@ def check_inequalities(
             trial = [(s, a, b) for s, a, b in sides if s * s < eps_star]
             if not trial:
                 break
-            if _window_sup(scans["F"], trial, 0, 0, ni, nj)[0] <= c_min / 2:
+            s_f = s_full_f if trial == sides else _window_sup(scans["F"], trial, 0, 0, ni, nj)[0]
+            if s_f <= c_min / 2:
                 ok_sides, note = trial, f"eps_U = {eps_star}"
                 break
             eps_star /= 4.0
@@ -551,7 +560,7 @@ def check_inequalities(
             return c_min / 2, abs(WF[i : i + sx, j : j + sy].mean())
 
         def inverse_osc_sup():
-            i, j, wi, wj = window(min(16, ni), min(16, nj), 48)
+            i, j, wi, wj = window(16, 48)
             s_f, s_i = (_window_sup(osc, ok_sides, i, j, wi, wj)[0] for osc in (scans["F"], inv_osc))
             return s_i, 4.0 / c_min**2 * s_f
 
@@ -562,7 +571,7 @@ def check_inequalities(
 
     # Nested sets: M_{D1}(F) <= 2 |D2|/|D1| M_{D2}(F) for rectangles D1 c D2.
     def nested_mean_osc():
-        i2, j2, a2, b2 = window(4, 4, 32)
+        i2, j2, a2, b2 = window(4, 32)
         a1 = int(rng.integers(1, a2 + 1))
         b1 = int(rng.integers(1, b2 + 1))
         i1 = i2 + int(rng.integers(0, a2 - a1 + 1))
@@ -576,7 +585,7 @@ def check_inequalities(
     WH = 0.5 * (WF + WG)
     scans["H"] = _osc_bounds(WH, sides)
     c_const = prods_constant([sup_f, sup_g, float(np.max(np.abs(WH)))])
-    rhs_sum = c_const * sum(_window_sup(scans[k], sides, 0, 0, ni, nj)[0] for k in "FGH")
+    rhs_sum = c_const * (s_full_f + sum(_window_sup(scans[k], sides, 0, 0, ni, nj)[0] for k in "GH"))
     W3 = WF * WG * WH
 
     def multi_product_mean():
